@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 
 #include "common/bytes.h"
 #include "common/logging.h"
 #include "common/memory_tracker.h"
 #include "core/db_internal.h"
 #include "ivf/schema.h"
+#include "ivf/search.h"
 #include "numerics/distance.h"
 #include "numerics/sq8.h"
 #include "query/attr_index.h"
@@ -470,57 +472,37 @@ DB::GetStats(ReadTransaction* txn) {
 
 Result<std::vector<ResultItem>> DB::ResolveItems(
     ReadTransaction* txn, const std::vector<Neighbor>& neighbors) {
-  std::vector<ResultItem> items;
-  items.reserve(neighbors.size());
+  std::vector<ResultItem> items(neighbors.size());
   if (neighbors.empty()) return items;
   MICRONN_ASSIGN_OR_RETURN(BTree vectors, txn->OpenTable(kVectorsTable));
-  MICRONN_ASSIGN_OR_RETURN(BTree vidmap, txn->OpenTable(kVidMapTable));
-  // Resolution is two point lookups per result; on a cold cache that is
-  // ~2k demand page reads per query. Batch each stage's leaves into one
-  // read instead (same stage-1/stage-2 shape as SearchByVids).
-  Pager* pager = engine_->pager();
+  // Every neighbor carries the partition its row was scored in, so each
+  // result is one vectors-table row at a known key. Visit the rows in key
+  // order: their leaves go out as one batched read (a cold cache would
+  // otherwise pay a demand read per leaf), then one reader walks the run.
+  std::vector<size_t> order(neighbors.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  auto location = [&](size_t i) {
+    return RowLocation(neighbors[i].partition, neighbors[i].id);
+  };
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return location(a) < location(b); });
   {
     std::vector<std::string> keys;
-    keys.reserve(neighbors.size());
-    for (const Neighbor& n : neighbors) keys.push_back(key::U64(n.id));
-    std::sort(keys.begin(), keys.end());
-    std::vector<PageId> pages;
-    if (vidmap.CollectLeafPages(keys, &pages).ok() && !pages.empty()) {
-      pager->PrefetchPages(pages, txn->snapshot_seq());
+    keys.reserve(order.size());
+    for (const size_t i : order) {
+      keys.push_back(VectorKey(neighbors[i].partition, neighbors[i].id));
     }
-  }
-  std::vector<std::pair<uint32_t, const Neighbor*>> rows;
-  rows.reserve(neighbors.size());
-  for (const Neighbor& n : neighbors) {
-    MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> loc,
-                             vidmap.Get(key::U64(n.id)));
-    if (!loc.has_value()) continue;  // deleted between scan and resolve
-    uint32_t partition;
-    MICRONN_RETURN_IF_ERROR(DecodeVidMapValue(*loc, &partition));
-    rows.emplace_back(partition, &n);
-  }
-  {
-    std::vector<std::string> keys;
-    keys.reserve(rows.size());
-    for (const auto& [partition, n] : rows) {
-      keys.push_back(VectorKey(partition, n->id));
-    }
-    std::sort(keys.begin(), keys.end());
     std::vector<PageId> pages;
     if (vectors.CollectLeafPages(keys, &pages).ok() && !pages.empty()) {
-      pager->PrefetchPages(pages, txn->snapshot_seq());
+      engine_->pager()->PrefetchPages(pages, txn->snapshot_seq());
     }
   }
-  for (const auto& [partition, n] : rows) {
-    MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> row,
-                             vectors.Get(VectorKey(partition, n->id)));
-    if (!row.has_value()) {
-      return Status::Corruption("vid " + std::to_string(n->id) +
-                                " has vidmap entry but no vector row");
-    }
-    VectorRow vr;
-    MICRONN_RETURN_IF_ERROR(DecodeVectorRow(*row, options_.dim, &vr));
-    items.push_back(ResultItem{std::move(vr.asset_id), n->id, n->distance});
+  VectorRowReader reader(vectors, options_.dim);
+  VectorRow vr;
+  for (const size_t i : order) {
+    MICRONN_RETURN_IF_ERROR(reader.Read(location(i), &vr));
+    items[i] = ResultItem{vr.asset_id, neighbors[i].id,
+                          neighbors[i].distance};
   }
   return items;
 }

@@ -45,7 +45,7 @@ Status ScanRows(BTreeCursor* cursor, const RowFilter& filter,
     }
     MICRONN_ASSIGN_OR_RETURN(std::string_view value,
                              cursor->ValueView(&overflow));
-    MICRONN_RETURN_IF_ERROR(append(vid, value));
+    MICRONN_RETURN_IF_ERROR(append(partition, vid, value));
     if (counters != nullptr) ++counters->rows_scanned;
     MICRONN_RETURN_IF_ERROR(cursor->Next());
   }
@@ -61,17 +61,17 @@ std::function<bool(std::string_view)> PartitionRange(std::string prefix) {
 }
 
 // Fixed-capacity block assembler shared by the float and quantized scan
-// loops: buffers up to kScanBlockRows rows (row_elems elements each) and
-// emits full blocks through `emit(vids, rows, count)`; callers Flush()
-// the final partial block.
+// loops: buffers up to kScanBlockRows rows (row_elems elements each) of
+// one partition and emits full blocks through
+// `emit(partition, vids, rows, count)`; a row from another partition
+// flushes the block first. Callers Flush() the final partial block.
 template <typename Storage>
 class BlockAssembler {
  public:
   using Elem =
       std::remove_reference_t<decltype(*std::declval<Storage&>().data())>;
-  using Emit =
-      std::function<Status(const uint64_t* vids, const Elem* rows,
-                           size_t count)>;
+  using Emit = std::function<Status(uint32_t partition, const uint64_t* vids,
+                                    const Elem* rows, size_t count)>;
 
   BlockAssembler(size_t row_elems, Emit emit)
       : vids_(kScanBlockRows),
@@ -79,7 +79,11 @@ class BlockAssembler {
         row_elems_(row_elems),
         emit_(std::move(emit)) {}
 
-  Status Append(uint64_t vid, const Elem* row) {
+  Status Append(uint32_t partition, uint64_t vid, const Elem* row) {
+    if (fill_ > 0 && partition != partition_) {
+      MICRONN_RETURN_IF_ERROR(Flush());
+    }
+    partition_ = partition;
     vids_[fill_] = vid;
     std::memcpy(block_.data() + fill_ * row_elems_, row,
                 row_elems_ * sizeof(Elem));
@@ -91,7 +95,7 @@ class BlockAssembler {
     if (fill_ == 0) return Status::OK();
     const size_t count = fill_;
     fill_ = 0;
-    return emit_(vids_.data(), block_.data(), count);
+    return emit_(partition_, vids_.data(), block_.data(), count);
   }
 
  private:
@@ -99,6 +103,7 @@ class BlockAssembler {
   Storage block_;
   size_t row_elems_;
   size_t fill_ = 0;
+  uint32_t partition_ = 0;  // partition of the buffered rows
   Emit emit_;
 };
 
@@ -106,21 +111,23 @@ Status ScanRange(BTreeCursor* cursor, uint32_t dim, const RowFilter& filter,
                  const BlockCallback& cb, ScanCounters* counters,
                  const std::function<bool(std::string_view)>& in_range) {
   BlockAssembler<AlignedFloatBuffer> blocks(
-      dim, [&cb](const uint64_t* vids, const float* rows,
+      dim, [&cb](uint32_t partition, const uint64_t* vids, const float* rows,
                  size_t count) -> Status {
         ScanBlock sb;
         sb.vids = vids;
         sb.data = rows;
         sb.count = count;
+        sb.partition = partition;
         return cb(sb);
       });
   MICRONN_RETURN_IF_ERROR(ScanRows(
       cursor, filter, counters, in_range,
-      [&](uint64_t vid, std::string_view value) -> Status {
+      [&](uint32_t partition, uint64_t vid, std::string_view value) -> Status {
         VectorRow row;
         MICRONN_RETURN_IF_ERROR(DecodeVectorRow(value, dim, &row));
         return blocks.Append(
-            vid, reinterpret_cast<const float*>(row.vector_blob.data()));
+            partition, vid,
+            reinterpret_cast<const float*>(row.vector_blob.data()));
       }));
   return blocks.Flush();
 }
@@ -145,20 +152,21 @@ Status ScanPartitionSq8(BTree sq8, uint32_t partition, uint32_t dim,
   MICRONN_RETURN_IF_ERROR(cursor.Seek(prefix));
 
   BlockAssembler<std::vector<uint8_t>> blocks(
-      dim, [&cb](const uint64_t* vids, const uint8_t* rows,
-                 size_t count) -> Status {
+      dim, [&cb](uint32_t partition, const uint64_t* vids,
+                 const uint8_t* rows, size_t count) -> Status {
         Sq8ScanBlock sb;
         sb.vids = vids;
         sb.codes = rows;
         sb.count = count;
+        sb.partition = partition;
         return cb(sb);
       });
   MICRONN_RETURN_IF_ERROR(ScanRows(
       &cursor, filter, counters, PartitionRange(std::move(prefix)),
-      [&](uint64_t vid, std::string_view value) -> Status {
+      [&](uint32_t partition, uint64_t vid, std::string_view value) -> Status {
         MICRONN_ASSIGN_OR_RETURN(const uint8_t* codes,
                                  DecodeSq8Row(value, dim));
-        return blocks.Append(vid, codes);
+        return blocks.Append(partition, vid, codes);
       }));
   return blocks.Flush();
 }

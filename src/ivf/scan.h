@@ -26,11 +26,13 @@ namespace micronn {
 /// in the top-K computation"). May fail (it reads the attributes table).
 using RowFilter = std::function<Result<bool>(uint64_t vid)>;
 
-/// One decoded block of partition rows.
+/// One decoded block of partition rows. A block never spans two
+/// partitions, so `partition` locates every row in it.
 struct ScanBlock {
   const uint64_t* vids = nullptr;   // row ids
   const float* data = nullptr;      // row-major count x dim
   size_t count = 0;
+  uint32_t partition = 0;
 };
 
 /// Receives blocks during a scan; returning an error aborts the scan.
@@ -42,6 +44,7 @@ struct Sq8ScanBlock {
   const uint64_t* vids = nullptr;
   const uint8_t* codes = nullptr;
   size_t count = 0;
+  uint32_t partition = 0;
 };
 
 using Sq8BlockCallback = std::function<Status(const Sq8ScanBlock&)>;

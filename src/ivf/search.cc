@@ -36,13 +36,14 @@ bool HasSharedFilter(const HeapScanTarget* targets, size_t n_targets) {
 
 // Pushes one scored block when filtering already happened inside the scan
 // (shared-filter path): every row goes to every heap.
-void PushBlockAll(const uint64_t* vids, size_t count, const float* dist,
-                  HeapScanTarget* targets, size_t n_targets) {
+void PushBlockAll(uint32_t partition, const uint64_t* vids, size_t count,
+                  const float* dist, HeapScanTarget* targets,
+                  size_t n_targets) {
   for (size_t i = 0; i < n_targets; ++i) {
     const float* row = dist + i * count;
     TopKHeap* heap = targets[i].heap;
     for (size_t r = 0; r < count; ++r) {
-      heap->Push(vids[r], row[r]);
+      heap->Push(vids[r], row[r], partition);
     }
   }
 }
@@ -54,9 +55,10 @@ void PushBlockAll(const uint64_t* vids, size_t count, const float* dist,
 // Without one, each target's RowFilter runs per row — exactly what a
 // dedicated filtered scan would have done. Per-target counters are
 // identical either way.
-Status PushBlockHetero(const uint64_t* vids, size_t count, const float* dist,
-                       HeapScanTarget* targets, size_t n_targets,
-                       const SharedFilterEval* shared_eval, bool* verdicts) {
+Status PushBlockHetero(uint32_t partition, const uint64_t* vids, size_t count,
+                       const float* dist, HeapScanTarget* targets,
+                       size_t n_targets, const SharedFilterEval* shared_eval,
+                       bool* verdicts) {
   if (shared_eval != nullptr) {
     for (size_t r = 0; r < count; ++r) {
       Status eval = (*shared_eval)(vids[r], verdicts);
@@ -67,7 +69,7 @@ Status PushBlockHetero(const uint64_t* vids, size_t count, const float* dist,
         for (size_t i = 0; i < n_targets; ++i) {
           HeapScanTarget& t = targets[i];
           if (t.filter_slot < 0 && t.filter == nullptr) {
-            t.heap->Push(vids[r], dist[i * count + r]);
+            t.heap->Push(vids[r], dist[i * count + r], partition);
             if (t.counters != nullptr) ++t.counters->rows_scanned;
           } else if (t.counters != nullptr) {
             ++t.counters->rows_quarantined;
@@ -96,7 +98,7 @@ Status PushBlockHetero(const uint64_t* vids, size_t count, const float* dist,
           if (t.counters != nullptr) ++t.counters->rows_filtered;
           continue;
         }
-        t.heap->Push(vids[r], dist[i * count + r]);
+        t.heap->Push(vids[r], dist[i * count + r], partition);
         if (t.counters != nullptr) ++t.counters->rows_scanned;
       }
     }
@@ -109,7 +111,7 @@ Status PushBlockHetero(const uint64_t* vids, size_t count, const float* dist,
     const RowFilter* filter = targets[i].filter;
     if (filter == nullptr || !*filter) {
       for (size_t r = 0; r < count; ++r) {
-        heap->Push(vids[r], row[r]);
+        heap->Push(vids[r], row[r], partition);
       }
       if (counters != nullptr) counters->rows_scanned += count;
       continue;
@@ -123,7 +125,7 @@ Status PushBlockHetero(const uint64_t* vids, size_t count, const float* dist,
       }
       MICRONN_RETURN_IF_ERROR(keep.status());
       if (*keep) {
-        heap->Push(vids[r], row[r]);
+        heap->Push(vids[r], row[r], partition);
         if (counters != nullptr) ++counters->rows_scanned;
       } else if (counters != nullptr) {
         ++counters->rows_filtered;
@@ -198,8 +200,8 @@ Status ScanPartitionIntoHeaps(BTree vectors, uint32_t partition, Metric metric,
         vectors, partition, dim, filter,
         [&](const ScanBlock& block) -> Status {
           score_block(block);
-          PushBlockAll(block.vids, block.count, dist.data(), targets,
-                       n_targets);
+          PushBlockAll(block.partition, block.vids, block.count, dist.data(),
+                       targets, n_targets);
           return Status::OK();
         },
         &sc));
@@ -215,8 +217,9 @@ Status ScanPartitionIntoHeaps(BTree vectors, uint32_t partition, Metric metric,
       vectors, partition, dim, /*filter=*/NoFilter(),
       [&](const ScanBlock& block) -> Status {
         score_block(block);
-        return PushBlockHetero(block.vids, block.count, dist.data(), targets,
-                               n_targets, shared_eval, verdicts.get());
+        return PushBlockHetero(block.partition, block.vids, block.count,
+                               dist.data(), targets, n_targets, shared_eval,
+                               verdicts.get());
       },
       scan_counters);
 }
@@ -257,8 +260,8 @@ Status ScanPartitionSq8IntoHeaps(BTree sq8, uint32_t partition, Metric metric,
         sq8, partition, dim, filter,
         [&](const Sq8ScanBlock& block) -> Status {
           score_block(block);
-          PushBlockAll(block.vids, block.count, dist.data(), targets,
-                       n_targets);
+          PushBlockAll(block.partition, block.vids, block.count, dist.data(),
+                       targets, n_targets);
           return Status::OK();
         },
         &sc));
@@ -272,8 +275,9 @@ Status ScanPartitionSq8IntoHeaps(BTree sq8, uint32_t partition, Metric metric,
       sq8, partition, dim, /*filter=*/NoFilter(),
       [&](const Sq8ScanBlock& block) -> Status {
         score_block(block);
-        return PushBlockHetero(block.vids, block.count, dist.data(), targets,
-                               n_targets, shared_eval, verdicts.get());
+        return PushBlockHetero(block.partition, block.vids, block.count,
+                               dist.data(), targets, n_targets, shared_eval,
+                               verdicts.get());
       },
       scan_counters);
 }
@@ -359,7 +363,7 @@ Result<std::vector<Neighbor>> ExactSearch(BTree vectors, Metric metric,
         DistanceOneToMany(metric, query, block.data, block.count, dim,
                           dist.data());
         for (size_t i = 0; i < block.count; ++i) {
-          heap.Push(block.vids[i], dist[i]);
+          heap.Push(block.vids[i], dist[i], block.partition);
         }
         return Status::OK();
       },
@@ -391,6 +395,19 @@ void PrefetchLeaves(BTree table, std::span<const std::string> sorted_keys,
 
 }  // namespace
 
+Status VectorRowReader::Read(const RowLocation& at, VectorRow* row) {
+  const auto [partition, vid] = at;
+  const std::string key = VectorKey(partition, vid);
+  MICRONN_RETURN_IF_ERROR(cursor_.SeekForward(key));
+  if (!cursor_.Valid() || cursor_.key() != key) {
+    return Status::Corruption("no vector row for vid " + std::to_string(vid) +
+                              " in partition " + std::to_string(partition));
+  }
+  MICRONN_ASSIGN_OR_RETURN(std::string_view value,
+                           cursor_.ValueView(&overflow_));
+  return DecodeVectorRow(value, dim_, row);
+}
+
 Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
                                            Metric metric, uint32_t dim,
                                            const float* query, uint32_t k,
@@ -398,32 +415,40 @@ Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
                                            ThreadPool* pool,
                                            SearchCounters* counters,
                                            const PrefetchContext* prefetch) {
-  // Stage 1: resolve vid -> partition. The vids arrive sorted, so the
+  // Vidmap stage: resolve vid -> partition. The vids arrive sorted, so the
   // vidmap point reads walk that tree in key order (and, with a prefetch
-  // context, land as one batched read); the regroup below turns the
-  // vectors-table lookups into partition-clustered runs.
+  // context, land as one batched read); sorting the locations turns the
+  // vectors-table reads into partition-clustered runs.
   if (prefetch != nullptr && prefetch->pager != nullptr && !vids.empty()) {
     std::vector<std::string> keys;
     keys.reserve(vids.size());
     for (const uint64_t vid : vids) keys.push_back(key::U64(vid));
     PrefetchLeaves(vidmap, keys, prefetch);
   }
-  std::vector<std::pair<uint32_t, uint64_t>> rows;  // (partition, vid)
+  std::vector<RowLocation> rows;
   rows.reserve(vids.size());
   for (const uint64_t vid : vids) {
     MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> loc,
                              vidmap.Get(key::U64(vid)));
-    if (!loc.has_value()) continue;  // row vanished (deleted)
+    if (!loc.has_value()) continue;  // no such row
     uint32_t partition;
     MICRONN_RETURN_IF_ERROR(DecodeVidMapValue(*loc, &partition));
     rows.emplace_back(partition, vid);
   }
   std::sort(rows.begin(), rows.end());
+  return SearchByLocations(vectors, metric, dim, query, k, rows, pool,
+                           counters, prefetch);
+}
+
+Result<std::vector<Neighbor>> SearchByLocations(
+    BTree vectors, Metric metric, uint32_t dim, const float* query,
+    uint32_t k, std::span<const RowLocation> rows, ThreadPool* pool,
+    SearchCounters* counters, const PrefetchContext* prefetch) {
   const size_t n_rows = rows.size();
-  // VectorKey preserves (partition, vid) order, so the vectors-table run
-  // below is sorted too — batch its leaves ahead of the Get() loop. In
-  // async mode the slices pipeline their own chunks instead (submit the
-  // next chunk's leaves, score the current one, reap), so the global
+  // VectorKey preserves (partition, vid) order, so the rows form one
+  // sorted key run — batch its leaves ahead of the cursor walk. In async
+  // mode the slices pipeline their own chunks instead (submit the next
+  // chunk's leaves, score the current one, reap), so the global
   // submit-and-wait batch is skipped.
   const bool use_async =
       prefetch != nullptr && prefetch->pager != nullptr && prefetch->async;
@@ -437,8 +462,9 @@ Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
     PrefetchLeaves(vectors, keys, prefetch);
   }
 
-  // Stage 2: fetch + decode into SIMD blocks and score with
-  // DistanceOneToMany, in contiguous slices across the pool.
+  // Fetch + decode into SIMD blocks and score with DistanceOneToMany, in
+  // contiguous slices across the pool; each slice reads its sorted run
+  // through one VectorRowReader.
   size_t n_tasks = 1;
   if (pool != nullptr && n_rows >= 2 * kScanBlockRows) {
     n_tasks = std::min(pool->num_threads(),
@@ -473,18 +499,18 @@ Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
 
   auto score_slice = [&](size_t t, size_t lo, size_t hi) -> Status {
     AlignedFloatBuffer block(kScanBlockRows * dim);
-    std::vector<uint64_t> block_vids(kScanBlockRows);
+    std::vector<RowLocation> block_rows(kScanBlockRows);
     std::vector<float> dist(kScanBlockRows);
     ScopedMemoryReservation mem(
         MemoryCategory::kQueryExec,
         (block.size() + dist.size()) * sizeof(float) +
-            block_vids.size() * sizeof(uint64_t));
+            block_rows.size() * sizeof(RowLocation));
     size_t fill = 0;
     auto flush = [&]() {
       if (fill == 0) return;
       DistanceOneToMany(metric, query, block.data(), fill, dim, dist.data());
       for (size_t r = 0; r < fill; ++r) {
-        heaps[t].Push(block_vids[r], dist[r]);
+        heaps[t].Push(block_rows[r].second, dist[r], block_rows[r].first);
       }
       scored[t] += fill;
       fill = 0;
@@ -492,10 +518,12 @@ Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
     // The submit/score/reap pipeline: while chunk c's rows are scored,
     // chunk c+1's leaf reads are in flight. `inflight` covers the chunk
     // about to be scored; Finish() lands its pages in the cache (or, on
-    // any I/O hiccup, leaves the misses for the demand Gets below, which
+    // any I/O hiccup, leaves the misses for the demand reads below, which
     // produce identical results). The unique_ptr reaps on early error
     // return too, so no submitted read outlives the caller's snapshot.
     std::unique_ptr<AsyncPrefetch> inflight;
+    VectorRowReader reader(vectors, dim);
+    VectorRow vr;
     if (use_async) {
       inflight = submit_chunk(lo, std::min(lo + kAsyncChunkRows, hi));
     }
@@ -506,15 +534,8 @@ Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
         inflight = submit_chunk(chi, std::min(chi + kAsyncChunkRows, hi));
       }
       for (size_t i = clo; i < chi; ++i) {
-        const auto [partition, vid] = rows[i];
-        MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> row,
-                                 vectors.Get(VectorKey(partition, vid)));
-        if (!row.has_value()) {
-          return Status::Corruption("vidmap points at missing vector row");
-        }
-        VectorRow vr;
-        MICRONN_RETURN_IF_ERROR(DecodeVectorRow(*row, dim, &vr));
-        block_vids[fill] = vid;
+        MICRONN_RETURN_IF_ERROR(reader.Read(rows[i], &vr));
+        block_rows[fill] = rows[i];
         std::memcpy(block.data() + fill * dim, vr.vector_blob.data(),
                     dim * sizeof(float));
         if (++fill == kScanBlockRows) flush();

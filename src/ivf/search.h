@@ -10,6 +10,8 @@
 #define MICRONN_IVF_SEARCH_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -120,13 +122,14 @@ Result<std::vector<Neighbor>> ExactSearch(BTree vectors, Metric metric,
                                           SearchCounters* counters);
 
 /// Snapshot handle for read-ahead inside search primitives. When supplied
-/// to SearchByVids, each point-read stage first enumerates the leaf pages
-/// its sorted key run will touch (BTree::CollectLeafPages) and issues them
-/// as one best-effort Pager::PrefetchPages batch, so the per-key Get()
-/// loop hits cache instead of paying one blocking pread per leaf. With
-/// `async` set, stage 2 pipelines instead: each slice submits the next
-/// chunk's leaves (Pager::PrefetchPagesAsync), scores the current chunk,
-/// then reaps — the leaf reads overlap the distance kernel. Results are
+/// to SearchByVids / SearchByLocations, each point-read stage first
+/// enumerates the leaf pages its sorted key run will touch
+/// (BTree::CollectLeafPages) and issues them as one best-effort
+/// Pager::PrefetchPages batch, so the cursor walk behind it hits cache
+/// instead of paying one blocking pread per leaf. With `async` set, the
+/// scoring stage pipelines instead: each slice submits the next chunk's
+/// leaves (Pager::PrefetchPagesAsync), scores the current chunk, then
+/// reaps — the leaf reads overlap the distance kernel. Results are
 /// bit-identical in every mode.
 struct PrefetchContext {
   Pager* pager = nullptr;
@@ -134,15 +137,32 @@ struct PrefetchContext {
   bool async = false;
 };
 
+/// A row's location in the clustered vectors table: (partition, vid).
+/// Ordered exactly like its VectorKey, so a sorted run of locations is a
+/// sorted key run.
+using RowLocation = std::pair<uint32_t, uint64_t>;
+
+/// Brute-force top-k over rows at known locations: the scoring stage of
+/// SearchByVids, and the executor's rerank op, which passes the locations
+/// its scan recorded (Neighbor::partition). `rows` must be sorted; a
+/// repeated location is scored once per occurrence. Each slice of the run is read with one cursor
+/// (BTreeCursor::SeekForward + ValueView — no per-row root-to-leaf
+/// descent, no value copy), decoded into SIMD blocks and scored with
+/// DistanceOneToMany over kScanBlockRows rows; large runs split across
+/// `pool` (may be null). Returned neighbors carry their partition. A row
+/// missing at its location is Corruption naming the vid and partition.
+Result<std::vector<Neighbor>> SearchByLocations(
+    BTree vectors, Metric metric, uint32_t dim, const float* query,
+    uint32_t k, std::span<const RowLocation> rows, ThreadPool* pool,
+    SearchCounters* counters, const PrefetchContext* prefetch = nullptr);
+
 /// Brute-force top-k over an explicit list of row ids (the pre-filtering
-/// executor's second stage). Resolves each vid via vidmap, regroups the
-/// candidates by partition so the vectors-table point reads walk the
-/// clustered key in order, scores them in SIMD blocks (DistanceOneToMany
-/// over kScanBlockRows rows), and splits large candidate sets across
-/// `pool`. 100% recall over the candidate set by construction. `vids`
-/// should be sorted (CollectMatchingVids returns them sorted); `pool` may
-/// be null (serial); `prefetch` may be null (no read-ahead — results are
-/// identical either way).
+/// executor's second stage). The vidmap stage resolves each vid to its
+/// partition (a vid without a vidmap entry is skipped); the sorted
+/// locations then go to SearchByLocations. 100% recall over the candidate
+/// set by construction. `vids` should be sorted (CollectMatchingVids
+/// returns them sorted); `prefetch` may be null (no read-ahead — results
+/// are identical either way).
 Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
                                            Metric metric, uint32_t dim,
                                            const float* query, uint32_t k,
@@ -151,6 +171,26 @@ Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
                                            SearchCounters* counters,
                                            const PrefetchContext* prefetch =
                                                nullptr);
+
+/// Reads vectors-table rows at known locations through one cursor. Reads
+/// in ascending location order stay inside the pinned leaf while they can
+/// (BTreeCursor::SeekForward) and borrow the value instead of copying it.
+/// A row absent from its location is Corruption naming the vid and the
+/// partition.
+class VectorRowReader {
+ public:
+  VectorRowReader(BTree vectors, uint32_t dim)
+      : cursor_(vectors.NewCursor()), dim_(dim) {}
+
+  /// Decodes the row at `at` into `*row`; `row->vector_blob` is valid
+  /// until the next Read.
+  Status Read(const RowLocation& at, VectorRow* row);
+
+ private:
+  BTreeCursor cursor_;
+  uint32_t dim_;
+  std::string overflow_;  // ValueView spill buffer, reused across rows
+};
 
 /// Recall@k of `got` against ground truth `expected` (both ascending by
 /// distance): |got ∩ expected| / |expected|.

@@ -9,13 +9,22 @@
 
 namespace micronn {
 
-/// One search hit: internal vector id plus its distance to the query.
+/// One search hit: internal vector id plus its distance to the query, and
+/// the partition the row was scored in. The partition is the row's
+/// location in the clustered vectors table (VectorKey(partition, id)), so
+/// rerank and result resolution read the row directly instead of looking
+/// it up in vidmap. It fills the struct's padding and is not part of
+/// equality.
 struct Neighbor {
   uint64_t id = 0;
   float distance = 0.f;
+  uint32_t partition = 0;
 
-  friend bool operator==(const Neighbor&, const Neighbor&) = default;
+  friend bool operator==(const Neighbor& a, const Neighbor& b) {
+    return a.id == b.id && a.distance == b.distance;
+  }
 };
+static_assert(sizeof(Neighbor) == 16, "partition must fit in the padding");
 
 /// A bounded max-heap keeping the k smallest-distance neighbors seen so
 /// far. Push is O(log k); the heap root is the current worst kept distance,
@@ -37,13 +46,15 @@ class TopKHeap {
   }
 
   /// Offers a candidate; keeps it only if it is among the k best so far.
-  void Push(uint64_t id, float distance) {
+  /// `partition` is carried along untouched (0 for heaps whose ids are not
+  /// vector rows, e.g. centroid probes).
+  void Push(uint64_t id, float distance, uint32_t partition = 0) {
     if (heap_.size() < k_) {
-      heap_.push_back({id, distance});
+      heap_.push_back({id, distance, partition});
       std::push_heap(heap_.begin(), heap_.end(), ByDistance);
     } else if (distance < heap_.front().distance) {
       std::pop_heap(heap_.begin(), heap_.end(), ByDistance);
-      heap_.back() = {id, distance};
+      heap_.back() = {id, distance, partition};
       std::push_heap(heap_.begin(), heap_.end(), ByDistance);
     }
   }
@@ -51,7 +62,7 @@ class TopKHeap {
   /// Merges another heap's contents into this one.
   void Merge(const TopKHeap& other) {
     for (const Neighbor& n : other.heap_) {
-      Push(n.id, n.distance);
+      Push(n.id, n.distance, n.partition);
     }
   }
 

@@ -505,9 +505,11 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
   }
 
   // Phase 3.5: rerank op — a quantized plan's candidate pool (k*alpha
-  // rows ranked by approximate distance) is re-scored at full precision
-  // through the vectorized SearchByVids machinery; reported distances are
-  // always exact. A quantized plan none of whose partitions had SQ8 data
+  // rows ranked by approximate distance) is re-scored at full precision;
+  // reported distances are always exact. Each candidate carries the
+  // partition its scan read it from, so the sorted locations go straight
+  // to SearchByLocations — one cursor pass over the vectors table, no
+  // vidmap reads. A quantized plan none of whose partitions had SQ8 data
   // already holds exact distances: truncate instead of re-reading.
   for (const size_t idx : scan_plans) {
     const PhysicalPlan& plan = plans[idx];
@@ -515,24 +517,26 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
     PlanResult& r = results[idx];
     // A quarantined partition also forces the rerank: its float re-scan
     // may have duplicated rows the partial quantized scan already pushed,
-    // and the vid-deduped exact re-score below removes them.
+    // and the deduped exact re-score below removes them.
     if (r.partitions_quantized == 0 && r.partitions_quarantined == 0) {
       if (r.neighbors.size() > plan.k) r.neighbors.resize(plan.k);
       continue;
     }
     r.quantized = r.partitions_quantized > 0;
     r.rerank_candidates = r.neighbors.size();
-    std::vector<uint64_t> vids;
-    vids.reserve(r.neighbors.size());
-    for (const Neighbor& nb : r.neighbors) vids.push_back(nb.id);
-    std::sort(vids.begin(), vids.end());
-    vids.erase(std::unique(vids.begin(), vids.end()), vids.end());
+    std::vector<RowLocation> rows;
+    rows.reserve(r.neighbors.size());
+    for (const Neighbor& nb : r.neighbors) {
+      rows.emplace_back(nb.partition, nb.id);
+    }
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
     SearchCounters rerank_counters;
     MICRONN_ASSIGN_OR_RETURN(
         r.neighbors,
-        SearchByVids(ctx_.vectors, ctx_.vidmap, ctx_.metric, ctx_.dim,
-                     plan.query.data(), plan.k, vids, ctx_.pool,
-                     &rerank_counters, prefetch_ctx));
+        SearchByLocations(ctx_.vectors, ctx_.metric, ctx_.dim,
+                          plan.query.data(), plan.k, rows, ctx_.pool,
+                          &rerank_counters, prefetch_ctx));
     r.rows_reranked = rerank_counters.rows_scanned;
   }
 

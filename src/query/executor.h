@@ -13,6 +13,9 @@
 //      the ScanPartitionIntoHeaps kernel, scoring a Qp x B distance block
 //      for the Qp plans that probe it, with per-plan filter pushdown.
 //   3. Merge op — per-(worker, plan) heaps merge into per-plan results.
+//      Quantized plans then rerank their candidates at full precision,
+//      reading each row at the partition its scan recorded
+//      (SearchByLocations — no vidmap reads).
 //   4. Pre-filter plans run their vectorized candidate scoring
 //      (SearchByVids) over the same pool.
 // Per-plan counters are exact: each plan sees precisely the partitions,
@@ -71,7 +74,7 @@ class PrefetchController {
 /// the duration of Execute (they belong to the caller's read snapshot).
 struct ExecutorContext {
   BTree vectors;
-  BTree vidmap;
+  BTree vidmap;  // pre-filter plans resolve candidate vids through it
   /// Required when the group contains any ANN plan (kUnfiltered /
   /// kPostFilter); may be null otherwise — exact plans enumerate the
   /// physically present partitions instead.

@@ -388,11 +388,15 @@ Result<PageId> BTree::Create(PageView* view) {
 }
 
 Result<PageId> BTree::DescendToLeaf(std::string_view key,
-                                    std::vector<PathEntry>* path) const {
+                                    std::vector<PathEntry>* path,
+                                    PagePtr* leaf_page) const {
   PageId pid = root_;
   for (;;) {
     MICRONN_ASSIGN_OR_RETURN(PagePtr p, view_->Read(pid));
-    if (IsLeaf(*p)) return pid;
+    if (IsLeaf(*p)) {
+      if (leaf_page != nullptr) *leaf_page = std::move(p);
+      return pid;
+    }
     int child_idx;
     const PageId child = DescendChild(*p, key, &child_idx);
     if (child == kInvalidPage) {
@@ -716,8 +720,8 @@ Status BTree::RemoveChildRef(const std::vector<PathEntry>& path,
 }
 
 Result<std::optional<std::string>> BTree::Get(std::string_view key) {
-  MICRONN_ASSIGN_OR_RETURN(PageId leaf, DescendToLeaf(key, nullptr));
-  MICRONN_ASSIGN_OR_RETURN(PagePtr p, view_->Read(leaf));
+  PagePtr p;
+  MICRONN_RETURN_IF_ERROR(DescendToLeaf(key, nullptr, &p).status());
   bool exact;
   const int pos = LowerBound(*p, key, &exact);
   if (!exact) return std::optional<std::string>();
@@ -895,6 +899,20 @@ Status BTreeCursor::Seek(std::string_view target) {
     }
     pid = child;
   }
+}
+
+Status BTreeCursor::SeekForward(std::string_view target) {
+  if (leaf_page_ != nullptr) {
+    const Page& p = *leaf_page_;
+    const int n = NCells(p);
+    if (n > 0 && CellKey(p, 0) <= target && target <= CellKey(p, n - 1)) {
+      bool exact;
+      leaf_idx_ = LowerBound(p, target, &exact);
+      valid_ = true;
+      return LoadCurrentCell();
+    }
+  }
+  return Seek(target);
 }
 
 Status BTreeCursor::Next() {

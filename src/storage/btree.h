@@ -99,9 +99,12 @@ class BTree {
     int child_idx;  // which child was taken: 0..ncells (ncells = right)
   };
 
-  // Descends to the leaf that owns `key`; fills `path` with interior steps.
+  // Descends to the leaf that owns `key`; fills `path` with interior steps
+  // and, when `leaf_page` is non-null, hands back the leaf it read so the
+  // caller need not read it again.
   Result<PageId> DescendToLeaf(std::string_view key,
-                               std::vector<PathEntry>* path) const;
+                               std::vector<PathEntry>* path,
+                               PagePtr* leaf_page = nullptr) const;
 
   // Inserts `cell` at `pos` in node `page` (leaf or interior cell blob),
   // splitting up the `path` as needed.
@@ -154,6 +157,12 @@ class BTreeCursor {
 
   /// Positions at the first key >= `target`.
   Status Seek(std::string_view target);
+
+  /// Same result as Seek(target), for walks over ascending targets: when
+  /// `target` lies within the key range of the pinned leaf, only that leaf
+  /// is binary-searched (no page reads); otherwise a full Seek runs. A
+  /// sorted key run that shares leaves thus reads each leaf once.
+  Status SeekForward(std::string_view target);
 
   bool Valid() const { return valid_; }
 

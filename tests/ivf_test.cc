@@ -3,6 +3,7 @@
 // policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <numeric>
@@ -393,6 +394,66 @@ TEST_F(IvfSearchTest, SearchByVidsIsExactOverSubset) {
                 subset.end());
     EXPECT_NE(n.id, 424242u);
   }
+}
+
+TEST_F(IvfSearchTest, ExactSearchRecordsEachRowsPartition) {
+  // Scan blocks of the whole-table scan would span the small partitions
+  // here unless they flush at every partition change.
+  PopulateSimpleIndex();
+  auto txn = engine_->BeginRead().value();
+  BTree vectors = txn->OpenTable(kVectorsTable).value();
+  BTree vidmap = txn->OpenTable(kVidMapTable).value();
+  std::vector<float> q(kDim, 0.f);
+  auto all = ExactSearch(vectors, Metric::kL2, kDim, q.data(), 1000, nullptr,
+                         nullptr)
+                 .value();
+  ASSERT_EQ(all.size(), 151u);
+  for (const Neighbor& n : all) {
+    auto loc = vidmap.Get(key::U64(n.id)).value();
+    ASSERT_TRUE(loc.has_value());
+    uint32_t partition;
+    ASSERT_TRUE(DecodeVidMapValue(*loc, &partition).ok());
+    EXPECT_EQ(n.partition, partition) << "vid " << n.id;
+  }
+}
+
+TEST_F(IvfSearchTest, SearchByLocationsReadsRecordedRows) {
+  PopulateSimpleIndex();
+  auto txn = engine_->BeginRead().value();
+  BTree vectors = txn->OpenTable(kVectorsTable).value();
+  BTree vidmap = txn->OpenTable(kVidMapTable).value();
+  std::vector<float> q(kDim, 0.f);
+  q[0] = 20.f;
+  // Vids 1..50 live in partition 1, 51..100 in 2, 999 in the delta.
+  const std::vector<RowLocation> rows = {
+      {kDeltaPartition, 999}, {1, 3}, {1, 40}, {2, 51}, {2, 77}, {3, 150}};
+  auto got = SearchByLocations(vectors, Metric::kL2, kDim, q.data(), 10, rows,
+                               /*pool=*/nullptr, nullptr)
+                 .value();
+  auto via_vidmap =
+      SearchByVids(vectors, vidmap, Metric::kL2, kDim, q.data(), 10,
+                   {3, 40, 51, 77, 150, 999}, /*pool=*/nullptr, nullptr)
+          .value();
+  ASSERT_EQ(got.size(), rows.size());
+  EXPECT_EQ(got, via_vidmap);
+  for (const Neighbor& n : got) {
+    const auto it = std::find_if(rows.begin(), rows.end(), [&](auto& r) {
+      return r.second == n.id;
+    });
+    ASSERT_NE(it, rows.end());
+    EXPECT_EQ(n.partition, it->first) << "vid " << n.id;
+  }
+
+  // A row absent from its recorded location is corruption, named by vid
+  // and partition.
+  const std::vector<RowLocation> wrong = {{1, 3}, {2, 40}};
+  auto missing = SearchByLocations(vectors, Metric::kL2, kDim, q.data(), 10,
+                                   wrong, /*pool=*/nullptr, nullptr);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_TRUE(missing.status().IsCorruption());
+  EXPECT_NE(missing.status().ToString().find("vid 40"), std::string::npos);
+  EXPECT_NE(missing.status().ToString().find("partition 2"),
+            std::string::npos);
 }
 
 TEST_F(IvfSearchTest, ParallelScanMatchesSerial) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <random>
 
@@ -16,6 +18,8 @@
 #include "ivf/search.h"
 #include "numerics/distance.h"
 #include "numerics/sq8.h"
+#include "query/executor.h"
+#include "query/planner.h"
 #include "query/predicate.h"
 #include "storage/key_encoding.h"
 
@@ -520,6 +524,169 @@ TEST_F(Sq8DbTest, DuplicateBatchFiltersShareEvaluation) {
     EXPECT_TRUE(resp.explain.shared_scan);
     EXPECT_EQ(resp.rows_scanned, per_query_rows);
   }
+}
+
+// Heap entries carry the partition their row was scored in; the rerank op
+// and result resolution read each row at that location instead of looking
+// it up in vidmap. For every plan kind, each item's vid, distance and
+// asset_id must equal an oracle that resolves through vidmap, and each
+// executor neighbor's partition must equal its vidmap entry — with rows
+// still in the delta partition, after Maintain moves them, and after a
+// rebuild.
+TEST_F(Sq8DbTest, ResultsCarryTheirScanLocation) {
+  static_assert(sizeof(Neighbor) == 16);
+  DatasetSpec spec;
+  spec.name = "sq8-location";
+  spec.dim = 16;
+  spec.n = 2400;
+  spec.n_queries = 3;
+  Dataset ds = GenerateDataset(spec);
+  DbOptions options = SmallOptions(spec.dim);
+  options.centroid_index_threshold = 0;  // the test probes plain centroids
+  auto db = DB::Open(path_, options).value();
+  auto upsert = [&](size_t lo, size_t hi) {
+    std::vector<UpsertRequest> batch;
+    for (size_t i = lo; i < hi; ++i) {
+      UpsertRequest req;
+      req.asset_id = "asset-" + std::to_string(i);
+      req.vector.assign(ds.row(i), ds.row(i) + spec.dim);
+      req.attributes["bucket"] =
+          AttributeValue::Int(static_cast<int64_t>(i % 10));
+      batch.push_back(std::move(req));
+    }
+    ASSERT_TRUE(db->Upsert(batch).ok());
+  };
+
+  struct Case {
+    const char* name;
+    QueryPlan plan;
+    std::function<void(SearchRequest*)> shape;
+  };
+  const std::vector<Case> cases = {
+      {"sq8", QueryPlan::kUnfiltered,
+       [](SearchRequest* r) { r->quantized = true; }},
+      {"float", QueryPlan::kUnfiltered,
+       [](SearchRequest* r) { r->quantized = false; }},
+      {"post-filter", QueryPlan::kPostFilter,
+       [](SearchRequest* r) {
+         r->filter = Predicate::Compare("bucket", CompareOp::kLt,
+                                        AttributeValue::Int(5));
+         r->plan = PlanOverride::kForcePostFilter;
+       }},
+      {"pre-filter", QueryPlan::kPreFilter,
+       [](SearchRequest* r) {
+         r->filter = Predicate::Compare("bucket", CompareOp::kEq,
+                                        AttributeValue::Int(3));
+         r->plan = PlanOverride::kForcePreFilter;
+       }},
+      {"exact", QueryPlan::kExact,
+       [](SearchRequest* r) { r->exact = true; }},
+  };
+
+  auto check_state = [&](const std::string& state, bool expect_delta_rows) {
+    size_t delta_hits = 0;
+    for (size_t q = 0; q < spec.n_queries; ++q) {
+      for (const Case& c : cases) {
+        SCOPED_TRACE(state + " / " + c.name + " / query " +
+                     std::to_string(q));
+        SearchRequest req;
+        req.query.assign(ds.query(q), ds.query(q) + spec.dim);
+        req.k = 20;
+        req.nprobe = 4;
+        c.shape(&req);
+        Result<SearchResponse> searched = db->Search(req);
+        ASSERT_TRUE(searched.ok()) << searched.status().ToString();
+        const SearchResponse& resp = *searched;
+        ASSERT_EQ(resp.plan, c.plan);
+        ASSERT_EQ(resp.items.size(), req.k);
+
+        auto txn = db->engine()->BeginRead().value();
+        BTree vectors = txn->OpenTable(kVectorsTable).value();
+        BTree vidmap = txn->OpenTable(kVidMapTable).value();
+        // Oracle: vidmap -> vectors row -> asset_id and exact distance.
+        std::map<uint64_t, uint32_t> located;
+        auto locate = [&](uint64_t vid) {
+          auto loc = vidmap.Get(key::U64(vid)).value();
+          EXPECT_TRUE(loc.has_value()) << "vid " << vid;
+          uint32_t partition = ~0u;
+          if (loc.has_value()) {
+            EXPECT_TRUE(DecodeVidMapValue(*loc, &partition).ok());
+          }
+          return partition;
+        };
+        for (const ResultItem& item : resp.items) {
+          const uint32_t partition = locate(item.vid);
+          located[item.vid] = partition;
+          auto row = vectors.Get(VectorKey(partition, item.vid)).value();
+          ASSERT_TRUE(row.has_value()) << "vid " << item.vid;
+          VectorRow vr;
+          ASSERT_TRUE(DecodeVectorRow(*row, spec.dim, &vr).ok());
+          EXPECT_EQ(item.asset_id, vr.asset_id) << "vid " << item.vid;
+          std::vector<float> vec(spec.dim);
+          std::memcpy(vec.data(), vr.vector_blob.data(),
+                      spec.dim * sizeof(float));
+          float expect = 0.f;
+          DistanceOneToMany(Metric::kL2, req.query.data(), vec.data(), 1,
+                            spec.dim, &expect);
+          EXPECT_EQ(item.distance, expect) << "vid " << item.vid;
+          delta_hits += partition == kDeltaPartition;
+        }
+
+        // The same plan through the executor over this snapshot: its
+        // neighbors are the response's items and carry vidmap's location.
+        QueryPlanner planner(txn.get(), &db->options(), [] {
+          return Result<std::shared_ptr<
+              const std::map<std::string, ColumnStats>>>(
+              std::make_shared<const std::map<std::string, ColumnStats>>());
+        });
+        std::vector<PhysicalPlan> plans;
+        plans.push_back(planner.Lower(req).value());
+        BTree centroids = txn->OpenTable(kCentroidsTable).value();
+        BTree meta = txn->OpenTable(kMetaTable).value();
+        const CentroidSet cset =
+            LoadCentroidSet(txn->view(), centroids, meta, spec.dim,
+                            Metric::kL2)
+                .value();
+        QueryExecutor executor(ExecutorContext{
+            .vectors = vectors,
+            .vidmap = vidmap,
+            .centroids = &cset,
+            .dim = spec.dim,
+            .metric = Metric::kL2,
+            .sq8 = txn->OpenTable(kSq8Table).value(),
+            .sq8params = txn->OpenTable(kSq8ParamsTable).value(),
+            .attributes = txn->OpenTable(kAttributesTable).value()});
+        Result<std::vector<PlanResult>> results =
+            executor.Execute(plans, nullptr);
+        ASSERT_TRUE(results.ok()) << results.status().ToString();
+        const std::vector<Neighbor>& got = (*results)[0].neighbors;
+        ASSERT_EQ(got.size(), resp.items.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].id, resp.items[i].vid) << "rank " << i;
+          EXPECT_EQ(got[i].distance, resp.items[i].distance) << "rank " << i;
+          EXPECT_EQ(got[i].partition, locate(got[i].id))
+              << "vid " << got[i].id;
+        }
+      }
+    }
+    if (expect_delta_rows) {
+      EXPECT_GT(delta_hits, 0u) << state;
+    } else {
+      EXPECT_EQ(delta_hits, 0u) << state;
+    }
+  };
+
+  upsert(0, 1800);
+  ASSERT_TRUE(db->BuildIndex().ok());
+  upsert(1800, spec.n);  // lands in the delta partition
+  check_state("delta", /*expect_delta_rows=*/true);
+
+  const MaintenanceReport report = db->Maintain().value();
+  EXPECT_GT(report.delta_flushed, 0u);
+  check_state("maintained", /*expect_delta_rows=*/false);
+
+  ASSERT_TRUE(db->BuildIndex().ok());
+  check_state("rebuilt", /*expect_delta_rows=*/false);
 }
 
 // Drift requantization (DbOptions::sq8_requantize_saturation): a stream

@@ -2,9 +2,12 @@
 // cursors, and a property-based model check against std::map.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "storage/btree.h"
@@ -282,6 +285,188 @@ TEST_F(BTreeTest, ClearFreesAndResets) {
   ASSERT_TRUE(t.Put("x", "y").ok());
   EXPECT_EQ(*t.Get("x").value(), "y");
   ASSERT_TRUE(t.CheckIntegrity().ok());
+}
+
+// SeekForward over a committed tree, read through a snapshot so page reads
+// show up in the pager's cache counters.
+class BTreeSeekForwardTest : public BTreeTest {
+ protected:
+  // Commits the write transaction and opens a read snapshot over it.
+  void CommitAndSnapshot() {
+    view_.reset();
+    ASSERT_TRUE(pager_->CommitWrite(std::move(txn_)).ok());
+    seq_ = pager_->BeginSnapshot();
+    read_view_ = std::make_unique<ReadView>(pager_.get(), seq_);
+  }
+  void TearDown() override {
+    if (read_view_ != nullptr) pager_->EndSnapshot(seq_);
+    read_view_.reset();
+    BTreeTest::TearDown();
+  }
+
+  // Page-cache lookups (hits + misses) so far.
+  uint64_t Lookups() const {
+    const IoStats::View v = pager_->io_stats().Snapshot();
+    return v.pages_cache_hit + v.CacheMisses();
+  }
+
+  // Walks `targets` with one SeekForward cursor and checks every position
+  // against a fresh Seek.
+  void ExpectMatchesSeek(BTree t, const std::vector<std::string>& targets) {
+    BTreeCursor walk = t.NewCursor();
+    for (const std::string& target : targets) {
+      ASSERT_TRUE(walk.SeekForward(target).ok());
+      BTreeCursor fresh = t.NewCursor();
+      ASSERT_TRUE(fresh.Seek(target).ok());
+      ASSERT_EQ(walk.Valid(), fresh.Valid()) << target;
+      if (!fresh.Valid()) continue;
+      ASSERT_EQ(walk.key(), fresh.key()) << target;
+      std::string spill;
+      ASSERT_EQ(walk.ValueView(&spill).value(), fresh.value().value())
+          << target;
+    }
+  }
+
+  uint64_t seq_ = 0;
+  std::unique_ptr<ReadView> read_view_;
+};
+
+TEST_F(BTreeSeekForwardTest, MatchesSeekOnSortedRuns) {
+  // Long keys keep interior fanout low so the tree grows three levels;
+  // every 37th value spills to an overflow chain. Even indexes only, so
+  // odd indexes are absent keys between present ones.
+  auto key_of = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "key-%06d-", i);
+    return std::string(buf) + std::string(100, 'p');
+  };
+  {
+    BTree t = Tree();
+    for (int i = 0; i < 8000; i += 2) {
+      const std::string value =
+          (i / 2) % 37 == 0 ? std::string(2 * kMaxInlineValue, 'a' + i % 26)
+                            : "v" + std::to_string(i);
+      ASSERT_TRUE(t.Put(key_of(i), value).ok());
+    }
+    ASSERT_TRUE(t.CheckIntegrity().ok());
+  }
+  CommitAndSnapshot();
+  BTree t(read_view_.get(), root_);
+
+  // Leaf boundaries: a full scan reads pages exactly when Next() crosses
+  // into the next leaf.
+  std::vector<std::string> keys;
+  std::vector<std::string> leaf_firsts;
+  std::vector<std::string> leaf_lasts;
+  {
+    BTreeCursor c = t.NewCursor();
+    ASSERT_TRUE(c.SeekToFirst().ok());
+    leaf_firsts.emplace_back(c.key());
+    while (c.Valid()) {
+      keys.emplace_back(c.key());
+      const uint64_t before = Lookups();
+      ASSERT_TRUE(c.Next().ok());
+      if (c.Valid() && Lookups() != before) {
+        leaf_lasts.push_back(keys.back());
+        leaf_firsts.emplace_back(c.key());
+      }
+    }
+    leaf_lasts.push_back(keys.back());
+  }
+  ASSERT_EQ(keys.size(), 4000u);
+  ASSERT_GT(leaf_firsts.size(), 50u);  // many leaves
+
+  // One fresh Seek reads one page per level.
+  uint64_t levels;
+  {
+    const uint64_t before = Lookups();
+    BTreeCursor c = t.NewCursor();
+    ASSERT_TRUE(c.Seek(keys[keys.size() / 2]).ok());
+    levels = Lookups() - before;
+  }
+  ASSERT_GE(levels, 3u);  // root, interior level(s), leaf
+
+  Rng rng(0x5eef);
+  std::vector<std::string> pool;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::string> run;
+    const int len = 1 + static_cast<int>(rng.Uniform(40));
+    const int base = static_cast<int>(rng.Uniform(8000));
+    for (int j = 0; j < len; ++j) {
+      switch (rng.Uniform(5)) {
+        case 0:  // present key near the run's base
+          run.push_back(key_of((base + 2 * static_cast<int>(rng.Uniform(60))) /
+                               2 * 2));
+          break;
+        case 1:  // absent key between present ones
+          run.push_back(key_of((base + static_cast<int>(rng.Uniform(120))) |
+                               1));
+          break;
+        case 2:  // first or last key of a leaf
+          run.push_back(rng.Uniform(2) == 0
+                            ? leaf_firsts[rng.Uniform(leaf_firsts.size())]
+                            : leaf_lasts[rng.Uniform(leaf_lasts.size())]);
+          break;
+        case 3:  // past the last key
+          run.push_back("key-999999");
+          break;
+        default:  // a prefix of a present key (absent, sorts before it)
+          run.push_back(key_of(base / 2 * 2).substr(0, 11));
+          break;
+      }
+    }
+    std::sort(run.begin(), run.end());
+    ExpectMatchesSeek(t, run);
+  }
+  // Targets before the first key, and a descending run (SeekForward must
+  // still agree with Seek when a target falls outside the pinned leaf).
+  ExpectMatchesSeek(t, {"a", "key-", keys.front()});
+  ExpectMatchesSeek(t, {keys[3000], keys[2000], keys[10], "a"});
+
+  // A run confined to one leaf reads that leaf once: the whole walk costs
+  // what a single fresh Seek does.
+  for (size_t leaf : {size_t{0}, leaf_firsts.size() / 2,
+                      leaf_firsts.size() - 1}) {
+    const auto first = std::find(keys.begin(), keys.end(), leaf_firsts[leaf]);
+    const auto last = std::find(keys.begin(), keys.end(), leaf_lasts[leaf]);
+    ASSERT_TRUE(first != keys.end() && last != keys.end());
+    std::vector<std::string> run(first, last + 1);
+    ASSERT_GE(run.size(), 2u);
+    // Absent keys inside the leaf's range too.
+    run.push_back(std::string(run[0]) + "~");
+    std::sort(run.begin(), run.end());
+    const uint64_t before = Lookups();
+    BTreeCursor c = t.NewCursor();
+    for (const std::string& target : run) {
+      ASSERT_TRUE(c.SeekForward(target).ok());
+      ASSERT_TRUE(c.Valid());
+    }
+    EXPECT_EQ(Lookups() - before, levels) << "leaf " << leaf;
+  }
+}
+
+TEST_F(BTreeSeekForwardTest, SingleLeafTree) {
+  {
+    BTree t = Tree();
+    for (int i = 0; i < 10; i += 2) {
+      ASSERT_TRUE(t.Put(key::U64(i), "v" + std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(t.Put(key::U64(100), std::string(3 * kMaxInlineValue, 'o'))
+                    .ok());
+  }
+  CommitAndSnapshot();
+  BTree t(read_view_.get(), root_);
+  std::vector<std::string> run;
+  for (uint64_t i = 0; i <= 101; ++i) run.push_back(key::U64(i));
+  ExpectMatchesSeek(t, run);
+
+  // The root is the only leaf: one read for the whole run.
+  const uint64_t before = Lookups();
+  BTreeCursor c = t.NewCursor();
+  for (uint64_t i = 0; i <= 100; ++i) {
+    ASSERT_TRUE(c.SeekForward(key::U64(i)).ok());
+  }
+  EXPECT_EQ(Lookups() - before, 1u);
 }
 
 // Property test: random interleaved Put/Delete/Get streams must match a
