@@ -65,10 +65,6 @@ Result<std::unique_ptr<DB>> DB::Open(const std::string& path,
   MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<StorageEngine> engine,
                            StorageEngine::Open(path, options.pager));
   std::unique_ptr<DB> db(new DB(options, std::move(engine)));
-  if (options.adaptive_prefetch) {
-    db->prefetch_controller_ = std::make_unique<PrefetchController>(
-        options.prefetch_depth, options.prefetch_depth_max);
-  }
   MICRONN_RETURN_IF_ERROR(db->InitializeSchema());
   MICRONN_RETURN_IF_ERROR(db->RecoverInterruptedRebuild());
   return db;
@@ -476,9 +472,9 @@ Result<std::vector<ResultItem>> DB::ResolveItems(
   if (neighbors.empty()) return items;
   MICRONN_ASSIGN_OR_RETURN(BTree vectors, txn->OpenTable(kVectorsTable));
   // Every neighbor carries the partition its row was scored in, so each
-  // result is one vectors-table row at a known key. Visit the rows in key
-  // order: their leaves go out as one batched read (a cold cache would
-  // otherwise pay a demand read per leaf), then one reader walks the run.
+  // result is one vectors-table row at a known key, which the scan or
+  // rerank read moments ago — its leaf is normally still cached. Visit
+  // the rows in key order so one reader walks the run.
   std::vector<size_t> order(neighbors.size());
   std::iota(order.begin(), order.end(), size_t{0});
   auto location = [&](size_t i) {
@@ -486,17 +482,6 @@ Result<std::vector<ResultItem>> DB::ResolveItems(
   };
   std::sort(order.begin(), order.end(),
             [&](size_t a, size_t b) { return location(a) < location(b); });
-  {
-    std::vector<std::string> keys;
-    keys.reserve(order.size());
-    for (const size_t i : order) {
-      keys.push_back(VectorKey(neighbors[i].partition, neighbors[i].id));
-    }
-    std::vector<PageId> pages;
-    if (vectors.CollectLeafPages(keys, &pages).ok() && !pages.empty()) {
-      engine_->pager()->PrefetchPages(pages, txn->snapshot_seq());
-    }
-  }
   VectorRowReader reader(vectors, options_.dim);
   VectorRow vr;
   for (const size_t i : order) {
@@ -614,7 +599,7 @@ void DB::ExecuteQueryGroup(const std::vector<QueryGroupEntry*>& group) {
       *vectors, *vidmap, cset != nullptr ? cset.get() : nullptr, options_.dim,
       options_.metric, &pool_, std::nullopt, std::nullopt, std::nullopt,
       engine_->pager(), txn->snapshot_seq(), options_.prefetch_depth,
-      options_.async_prefetch, prefetch_controller_.get()};
+      options_.async_prefetch};
   // SQ8 sidecar + attributes table for the executor's quantized scans and
   // shared filter evaluation. All three exist on every database this
   // version opens; tolerate absence anyway (the executor degrades to

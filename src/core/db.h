@@ -173,10 +173,6 @@ class DB {
   std::unique_ptr<StorageEngine> engine_;
   ThreadPool pool_;
   QueryScheduler scheduler_;
-  /// Adaptive read-ahead depth (DbOptions::adaptive_prefetch): one
-  /// controller per DB so the learned depth persists across query groups.
-  /// Null when the option is off. Created in Open.
-  std::unique_ptr<PrefetchController> prefetch_controller_;
 
   // Serializes all writes, including multi-transaction maintenance.
   std::mutex write_mutex_;

@@ -107,26 +107,17 @@ struct DbOptions {
   /// PagerOptions::io_backend (env override MICRONN_IO_BACKEND).
   /// See docs/ARCHITECTURE.md "Read I/O & prefetch".
   uint32_t prefetch_depth = 2;
-  /// Overlap read-ahead with scoring: claimed-ahead partitions (and
-  /// rerank / pre-filter point-read chunks) are *submitted* to the I/O
-  /// backend (FileHandle::SubmitRead), the current partition is scored
-  /// while those reads are in flight, and completions are reaped right
-  /// before the prefetched pages are needed. On io_uring the submit
-  /// returns as soon as the SQEs are consumed; the pread backend emulates
-  /// (submit parks the batch, reap performs it) so results and behavior
-  /// stay identical across backends. Off = the submit-and-wait
-  /// PrefetchPages path. No effect at prefetch_depth 0. Results are
-  /// bit-identical either way.
+  /// When a read-ahead is reaped. Every read-ahead is *submitted* to the
+  /// I/O backend (FileHandle::SubmitRead) through the one entry point
+  /// Pager::PrefetchPages. On: claimed-ahead partitions (and rerank /
+  /// pre-filter point-read chunks) are reaped right before their pages
+  /// are needed, so the current partition is scored while those reads
+  /// are in flight. On io_uring the submit returns as soon as the SQEs are
+  /// consumed; the pread backend emulates (submit parks the batch, reap
+  /// performs it) so results and behavior stay identical across backends.
+  /// Off: each batch is reaped as soon as it is submitted. No effect at
+  /// prefetch_depth 0. Results are bit-identical either way.
   bool async_prefetch = true;
-  /// Adapt the effective prefetch depth per query group instead of using
-  /// the fixed prefetch_depth: a controller (PrefetchController,
-  /// src/query/executor.h) grows the depth while read-ahead converts to
-  /// cache hits and shrinks it when it causes evictions or wasted reads,
-  /// clamped to [0, prefetch_depth_max]. prefetch_depth seeds the
-  /// controller. Off = fixed depth.
-  bool adaptive_prefetch = false;
-  /// Upper clamp for the adaptive controller's depth.
-  uint32_t prefetch_depth_max = 8;
 
   // --- Hybrid search ---
   /// String columns that also get a full-text (MATCH) index.

@@ -390,7 +390,10 @@ void PrefetchLeaves(BTree table, std::span<const std::string> sorted_keys,
   if (!table.CollectLeafPages(sorted_keys, &pages).ok() || pages.empty()) {
     return;
   }
-  prefetch->pager->PrefetchPages(pages, prefetch->snapshot_seq);
+  if (std::unique_ptr<AsyncPrefetch> h =
+          prefetch->pager->PrefetchPages(pages, prefetch->snapshot_seq)) {
+    h->Finish();
+  }
 }
 
 }  // namespace
@@ -494,7 +497,7 @@ Result<std::vector<Neighbor>> SearchByLocations(
     if (!vectors.CollectLeafPages(keys, &pages).ok() || pages.empty()) {
       return nullptr;
     }
-    return prefetch->pager->PrefetchPagesAsync(pages, prefetch->snapshot_seq);
+    return prefetch->pager->PrefetchPages(pages, prefetch->snapshot_seq);
   };
 
   auto score_slice = [&](size_t t, size_t lo, size_t hi) -> Status {

@@ -125,12 +125,12 @@ Result<std::vector<Neighbor>> ExactSearch(BTree vectors, Metric metric,
 /// to SearchByVids / SearchByLocations, each point-read stage first
 /// enumerates the leaf pages its sorted key run will touch
 /// (BTree::CollectLeafPages) and issues them as one best-effort
-/// Pager::PrefetchPages batch, so the cursor walk behind it hits cache
-/// instead of paying one blocking pread per leaf. With `async` set, the
-/// scoring stage pipelines instead: each slice submits the next chunk's
-/// leaves (Pager::PrefetchPagesAsync), scores the current chunk, then
-/// reaps — the leaf reads overlap the distance kernel. Results are
-/// bit-identical in every mode.
+/// Pager::PrefetchPages batch, reaped at once, so the cursor walk behind
+/// it hits cache instead of paying one blocking pread per leaf. With
+/// `async` set, the scoring stage pipelines instead: each slice submits
+/// the next chunk's leaves, scores the current chunk, then reaps — the
+/// leaf reads overlap the distance kernel. Results are bit-identical in
+/// every mode.
 struct PrefetchContext {
   Pager* pager = nullptr;
   uint64_t snapshot_seq = 0;

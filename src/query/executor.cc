@@ -37,45 +37,11 @@ uint32_t HeapK(const PhysicalPlan& plan) {
 
 }  // namespace
 
-void PrefetchController::Observe(uint64_t prefetched, uint64_t hits,
-                                 uint64_t evictions) {
-  constexpr uint32_t kProbeInterval = 4;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (prefetched == 0) {
-    // Nothing read ahead: either the cache already held everything (leave
-    // the depth alone) or the depth sits at 0 — probe back at 1 every few
-    // groups so one bad stretch does not lock read-ahead off forever.
-    if (depth_ == 0 && ++idle_groups_ >= kProbeInterval) {
-      idle_groups_ = 0;
-      depth_ = std::min<uint32_t>(1, max_);
-    }
-    return;
-  }
-  idle_groups_ = 0;
-  if (evictions > prefetched || hits * 2 < prefetched) {
-    // Read-ahead churned the cache or mostly went unused: back off.
-    if (depth_ > 0) --depth_;
-  } else if (hits * 4 >= prefetched * 3 && evictions <= prefetched / 4) {
-    // Converting well with headroom: lean in.
-    depth_ = std::min(depth_ + 1, max_);
-  }
-}
-
 Result<std::vector<PlanResult>> QueryExecutor::Execute(
     const std::vector<PhysicalPlan>& plans, BatchCounters* group) {
   const size_t n = plans.size();
   std::vector<PlanResult> results(n);
   if (n == 0) return results;
-
-  // Adaptive read-ahead: the controller's depth overrides the static knob
-  // for this group, and the group's IoStats delta feeds back at the end.
-  const uint32_t prefetch_depth = ctx_.prefetch_controller != nullptr
-                                      ? ctx_.prefetch_controller->depth()
-                                      : ctx_.prefetch_depth;
-  IoStats::View io_before;
-  if (ctx_.prefetch_controller != nullptr && ctx_.pager != nullptr) {
-    io_before = ctx_.pager->io_stats().Snapshot();
-  }
 
   // Split the group by strategy: partition-scanning plans share scans;
   // pre-filter plans score their own candidate sets.
@@ -348,12 +314,12 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
   // warm. The claim cursor only moves forward, so each partition is
   // prefetched at most once across all workers.
   //
-  // With async_prefetch the batch is *submitted* (PrefetchPagesAsync)
-  // instead of performed: the handle parks in the claimed-ahead item's
-  // slot and the worker that later claims that item reaps it right before
+  // Without async_prefetch each batch is reaped as soon as it is
+  // submitted. With it, the handle parks in the claimed-ahead item's slot
+  // and the worker that later claims that item reaps it right before
   // scanning, so on the uring backend the reads proceed in the kernel
   // while the intervening partitions are scored.
-  const bool prefetch_on = ctx_.pager != nullptr && prefetch_depth > 0;
+  const bool prefetch_on = ctx_.pager != nullptr && ctx_.prefetch_depth > 0;
   const bool async_on = prefetch_on && ctx_.async_prefetch;
   const PrefetchContext pctx{ctx_.pager, ctx_.snapshot_seq, async_on};
   const PrefetchContext* prefetch_ctx = prefetch_on ? &pctx : nullptr;
@@ -391,14 +357,13 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
           .ok();
     }
     if (pages.empty()) return;
+    std::unique_ptr<AsyncPrefetch> h =
+        ctx_.pager->PrefetchPages(pages, ctx_.snapshot_seq);
+    if (h == nullptr) return;
     if (async_on) {
-      std::unique_ptr<AsyncPrefetch> h =
-          ctx_.pager->PrefetchPagesAsync(pages, ctx_.snapshot_seq);
-      if (h != nullptr) {
-        async_slots[work_i].store(h.release(), std::memory_order_release);
-      }
+      async_slots[work_i].store(h.release(), std::memory_order_release);
     } else {
-      ctx_.pager->PrefetchPages(pages, ctx_.snapshot_seq);
+      h->Finish();
     }
   };
 
@@ -418,7 +383,7 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
         // read replaces a cold scan's page-by-page demand reads.
         const size_t target =
             std::min(work.size(),
-                     i + 1 + static_cast<size_t>(prefetch_depth));
+                     i + 1 + static_cast<size_t>(ctx_.prefetch_depth));
         size_t cur = prefetch_cursor.load(std::memory_order_relaxed);
         for (;;) {
           const size_t next = std::max(cur, i);
@@ -567,11 +532,6 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
     }
   }
 
-  if (ctx_.prefetch_controller != nullptr && ctx_.pager != nullptr) {
-    const IoStats::View d = ctx_.pager->io_stats().Snapshot() - io_before;
-    ctx_.prefetch_controller->Observe(d.pages_prefetched, d.prefetch_hits,
-                                      d.cache_evictions);
-  }
   return results;
 }
 

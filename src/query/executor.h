@@ -24,8 +24,6 @@
 #ifndef MICRONN_QUERY_EXECUTOR_H_
 #define MICRONN_QUERY_EXECUTOR_H_
 
-#include <algorithm>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -37,38 +35,6 @@
 #include "query/planner.h"
 
 namespace micronn {
-
-/// Feedback controller for the effective read-ahead depth
-/// (DbOptions::adaptive_prefetch). One instance lives in the DB and
-/// persists across query groups; the executor reads depth() when a group
-/// starts and feeds the group's IoStats delta back through Observe().
-///
-/// Policy (AIMD on the prefetch economics): read-ahead that converts to
-/// hits without evicting grows the depth by one; read-ahead that evicts
-/// more than it fetches, or converts under half of what it fetches,
-/// shrinks it by one. Depth 0 turns read-ahead off entirely, so every
-/// few idle groups probe back at depth 1 — otherwise a cold start under
-/// memory pressure would stick at 0 forever. Clamped to [0, max_depth].
-class PrefetchController {
- public:
-  PrefetchController(uint32_t initial, uint32_t max_depth)
-      : depth_(std::min(initial, max_depth)), max_(max_depth) {}
-
-  uint32_t depth() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return depth_;
-  }
-
-  /// One executed group's outcome: pages read ahead, read-ahead pages
-  /// later demanded, and cache evictions observed during the group.
-  void Observe(uint64_t prefetched, uint64_t hits, uint64_t evictions);
-
- private:
-  mutable std::mutex mutex_;
-  uint32_t depth_;
-  const uint32_t max_;
-  uint32_t idle_groups_ = 0;
-};
 
 /// Tables and tuning the executor needs; all handles must stay valid for
 /// the duration of Execute (they belong to the caller's read snapshot).
@@ -101,16 +67,12 @@ struct ExecutorContext {
   Pager* pager = nullptr;
   uint64_t snapshot_seq = 0;
   uint32_t prefetch_depth = 0;
-  /// Overlap read-ahead with scoring (DbOptions::async_prefetch): claimed-
-  /// ahead partitions are submitted via Pager::PrefetchPagesAsync and
-  /// reaped right before their scan, and SearchByVids stage 2 pipelines
-  /// its point-read chunks the same way. Off = the submit-and-wait
-  /// PrefetchPages path. Results are bit-identical either way.
+  /// When a read-ahead is reaped (DbOptions::async_prefetch): on, the
+  /// claimed-ahead partitions' handles are reaped right before their scan
+  /// and SearchByVids stage 2 pipelines its point-read chunks; off, every
+  /// batch is reaped as soon as it is submitted. Results are bit-identical
+  /// either way.
   bool async_prefetch = false;
-  /// Non-null when DbOptions::adaptive_prefetch is on: overrides
-  /// prefetch_depth with the controller's current depth and feeds the
-  /// group's IoStats delta back after execution.
-  PrefetchController* prefetch_controller = nullptr;
 };
 
 /// One plan's outcome.

@@ -18,92 +18,89 @@ namespace micronn {
 /// per-shard hit/miss counters are sized to this.
 inline constexpr size_t kMaxCacheShards = 64;
 
+// The scalar counters, written once: X(name) per field. IoStats holds
+// each as an atomic and IoStats::View as a plain value; the copy,
+// difference and snapshot code below is generated from this list.
+//
+//   read_syscalls: read-path syscall accounting (the cold-cache bench
+//     metric). Every blocking read submission counts once — a pread()
+//     call on the pread backend, an io_uring_enter() on the uring backend
+//     (which covers a whole batch, hence the reduction the batch path
+//     buys).
+//   write_syscalls: the write-path twin — every pwrite()/pwritev() call,
+//     or an io_uring_enter() covering a write batch. The vectored
+//     checkpoint backfill is the consumer this metric exists for (pages
+//     folded per write syscall).
+//   cache_evictions: LRU entries dropped by the page cache to stay inside
+//     its budget (aggregate + per shard below). Read-ahead that evicts
+//     more than it converts to prefetch_hits is flushing the cache faster
+//     than the scans consume it.
+//   wal_writes: every frame-carrying WriteAt on the WAL counts once. With
+//     commit pipelining one write covers a whole group of commits, so
+//     wal_writes/commits is the bench_wal headline the same way
+//     read_syscalls is bench_io's.
+//   io_retries, corruptions_detected, read_joins: fault-domain counters
+//     (docs/DURABILITY.md "Integrity & degraded modes") — transient I/O
+//     errors absorbed by the bounded retry loop (RetryingFile), checksum
+//     mismatches detected on any read path, and demand reads that joined
+//     an in-flight read of the same page (a read-ahead batch or another
+//     demand read) instead of issuing a duplicate read.
+//   enospc_probes: filesystem space probes issued while in ENOSPC
+//     degraded mode (each is one write-past-EOF + truncate pair). The
+//     exponential probe backoff exists to keep this flat while the disk
+//     stays full; the rate-limit test asserts exactly that.
+#define MICRONN_IO_STATS_COUNTERS(X)                          \
+  X(pages_read_main)      /* pread from the main file */      \
+  X(pages_read_wal)       /* frame reads from the WAL */      \
+  X(pages_cache_hit)      /* served from page cache */        \
+  X(read_syscalls)                                            \
+  X(write_syscalls)                                           \
+  X(batch_reads)          /* Pager-level batched reads */     \
+  X(pages_prefetched)     /* pages read ahead into cache */   \
+  X(prefetch_hits)        /* prefetched pages later used */   \
+  X(cache_evictions)                                          \
+  X(frames_written)       /* WAL frames appended */           \
+  X(wal_writes)                                               \
+  X(wal_syncs)            /* fdatasync calls on the WAL */    \
+  X(wal_wraps)            /* WAL wrap-around restarts */      \
+  X(checkpoint_pages)     /* pages copied at checkpoint */    \
+  X(commits)                                                  \
+  X(rows_inserted)                                            \
+  X(rows_updated)                                             \
+  X(rows_deleted)                                             \
+  X(io_retries)                                               \
+  X(corruptions_detected)                                     \
+  X(read_joins)                                               \
+  X(enospc_probes)
+
+// The per-shard page-cache counters (only the first
+// PageCache::shard_count() slots ever move): the readers-at-scale bench
+// uses these to verify shard spread and tune PagerOptions::cache_shards.
+#define MICRONN_IO_STATS_SHARD_COUNTERS(X) \
+  X(cache_shard_hits)                      \
+  X(cache_shard_misses)                    \
+  X(cache_shard_evictions)
+
 /// Monotonic counters; snapshot with Snapshot() and subtract to measure an
 /// operation. All fields are thread-safe.
 class IoStats {
  public:
-  std::atomic<uint64_t> pages_read_main{0};   // pread from the main file
-  std::atomic<uint64_t> pages_read_wal{0};    // frame reads from the WAL
-  std::atomic<uint64_t> pages_cache_hit{0};   // served from page cache
-  // Read-path syscall accounting (the cold-cache bench metric): every
-  // blocking read submission counts once — a pread() call on the pread
-  // backend, an io_uring_enter() on the uring backend (which covers a
-  // whole batch, hence the reduction the batch path buys).
-  std::atomic<uint64_t> read_syscalls{0};
-  // Write-path twin of read_syscalls: every blocking write submission —
-  // a pwrite()/pwritev() call, or an io_uring_enter() covering a write
-  // batch. The vectored checkpoint backfill is the consumer this metric
-  // exists for (pages folded per write syscall).
-  std::atomic<uint64_t> write_syscalls{0};
-  std::atomic<uint64_t> batch_reads{0};       // Pager-level batched reads
-  std::atomic<uint64_t> pages_prefetched{0};  // pages read ahead into cache
-  std::atomic<uint64_t> prefetch_hits{0};     // prefetched pages later used
-  // LRU entries dropped by the page cache to stay inside its budget
-  // (aggregate + per shard below). prefetch_hits vs cache_evictions is
-  // the signal the adaptive prefetch-depth controller steers by: heavy
-  // eviction with poor hit conversion means read-ahead is flushing the
-  // cache faster than the scans consume it.
-  std::atomic<uint64_t> cache_evictions{0};
-  std::atomic<uint64_t> frames_written{0};    // WAL frames appended
-  // Write-path syscall accounting, mirroring read_syscalls: every
-  // frame-carrying WriteAt on the WAL counts once. With commit pipelining
-  // one write covers a whole group of commits, so wal_writes/commits is
-  // the bench_wal headline the same way read_syscalls is bench_io's.
-  std::atomic<uint64_t> wal_writes{0};
-  std::atomic<uint64_t> wal_syncs{0};         // fdatasync calls on the WAL
-  std::atomic<uint64_t> wal_wraps{0};         // WAL wrap-around restarts
-  std::atomic<uint64_t> checkpoint_pages{0};  // pages copied at checkpoint
-  std::atomic<uint64_t> commits{0};
-  std::atomic<uint64_t> rows_inserted{0};
-  std::atomic<uint64_t> rows_updated{0};
-  std::atomic<uint64_t> rows_deleted{0};
-  // Fault-domain counters (docs/DURABILITY.md "Integrity & degraded
-  // modes"): transient I/O errors absorbed by the bounded retry loop
-  // (RetryingFile), checksum mismatches detected on any read path, and
-  // demand reads that joined an in-flight async prefetch of the same page
-  // instead of issuing a duplicate read.
-  std::atomic<uint64_t> io_retries{0};
-  std::atomic<uint64_t> corruptions_detected{0};
-  std::atomic<uint64_t> read_joins{0};
-  // Filesystem space probes issued while in ENOSPC degraded mode (each is
-  // one write-past-EOF + truncate pair). The exponential probe backoff
-  // exists to keep this flat while the disk stays full; the rate-limit
-  // test asserts exactly that.
-  std::atomic<uint64_t> enospc_probes{0};
-  // Per-shard page-cache hits/misses (only the first
-  // PageCache::shard_count() slots ever move): the readers-at-scale bench
-  // uses these to verify shard spread and tune PagerOptions::cache_shards.
-  std::array<std::atomic<uint64_t>, kMaxCacheShards> cache_shard_hits{};
-  std::array<std::atomic<uint64_t>, kMaxCacheShards> cache_shard_misses{};
-  std::array<std::atomic<uint64_t>, kMaxCacheShards> cache_shard_evictions{};
+#define MICRONN_X(name) std::atomic<uint64_t> name{0};
+  MICRONN_IO_STATS_COUNTERS(MICRONN_X)
+#undef MICRONN_X
+#define MICRONN_X(name) \
+  std::array<std::atomic<uint64_t>, kMaxCacheShards> name{};
+  MICRONN_IO_STATS_SHARD_COUNTERS(MICRONN_X)
+#undef MICRONN_X
 
   /// Plain-value copy of the counters.
   struct View {
-    uint64_t pages_read_main = 0;
-    uint64_t pages_read_wal = 0;
-    uint64_t pages_cache_hit = 0;
-    uint64_t read_syscalls = 0;
-    uint64_t write_syscalls = 0;
-    uint64_t batch_reads = 0;
-    uint64_t pages_prefetched = 0;
-    uint64_t prefetch_hits = 0;
-    uint64_t cache_evictions = 0;
-    uint64_t frames_written = 0;
-    uint64_t wal_writes = 0;
-    uint64_t wal_syncs = 0;
-    uint64_t wal_wraps = 0;
-    uint64_t checkpoint_pages = 0;
-    uint64_t commits = 0;
-    uint64_t rows_inserted = 0;
-    uint64_t rows_updated = 0;
-    uint64_t rows_deleted = 0;
-    uint64_t io_retries = 0;
-    uint64_t corruptions_detected = 0;
-    uint64_t read_joins = 0;
-    uint64_t enospc_probes = 0;
-    std::array<uint64_t, kMaxCacheShards> cache_shard_hits{};
-    std::array<uint64_t, kMaxCacheShards> cache_shard_misses{};
-    std::array<uint64_t, kMaxCacheShards> cache_shard_evictions{};
+#define MICRONN_X(name) uint64_t name = 0;
+    MICRONN_IO_STATS_COUNTERS(MICRONN_X)
+#undef MICRONN_X
+#define MICRONN_X(name) std::array<uint64_t, kMaxCacheShards> name{};
+    MICRONN_IO_STATS_SHARD_COUNTERS(MICRONN_X)
+#undef MICRONN_X
 
     /// Total logical row changes (the Fig. 10d metric).
     uint64_t RowChanges() const {
@@ -117,74 +114,30 @@ class IoStats {
     }
     View operator-(const View& rhs) const {
       View out;
-      out.pages_read_main = pages_read_main - rhs.pages_read_main;
-      out.pages_read_wal = pages_read_wal - rhs.pages_read_wal;
-      out.pages_cache_hit = pages_cache_hit - rhs.pages_cache_hit;
-      out.read_syscalls = read_syscalls - rhs.read_syscalls;
-      out.write_syscalls = write_syscalls - rhs.write_syscalls;
-      out.batch_reads = batch_reads - rhs.batch_reads;
-      out.pages_prefetched = pages_prefetched - rhs.pages_prefetched;
-      out.prefetch_hits = prefetch_hits - rhs.prefetch_hits;
-      out.cache_evictions = cache_evictions - rhs.cache_evictions;
-      out.frames_written = frames_written - rhs.frames_written;
-      out.wal_writes = wal_writes - rhs.wal_writes;
-      out.wal_syncs = wal_syncs - rhs.wal_syncs;
-      out.wal_wraps = wal_wraps - rhs.wal_wraps;
-      out.checkpoint_pages = checkpoint_pages - rhs.checkpoint_pages;
-      out.commits = commits - rhs.commits;
-      out.rows_inserted = rows_inserted - rhs.rows_inserted;
-      out.rows_updated = rows_updated - rhs.rows_updated;
-      out.rows_deleted = rows_deleted - rhs.rows_deleted;
-      out.io_retries = io_retries - rhs.io_retries;
-      out.corruptions_detected =
-          corruptions_detected - rhs.corruptions_detected;
-      out.read_joins = read_joins - rhs.read_joins;
-      out.enospc_probes = enospc_probes - rhs.enospc_probes;
-      for (size_t s = 0; s < kMaxCacheShards; ++s) {
-        out.cache_shard_hits[s] =
-            cache_shard_hits[s] - rhs.cache_shard_hits[s];
-        out.cache_shard_misses[s] =
-            cache_shard_misses[s] - rhs.cache_shard_misses[s];
-        out.cache_shard_evictions[s] =
-            cache_shard_evictions[s] - rhs.cache_shard_evictions[s];
-      }
+#define MICRONN_X(name) out.name = name - rhs.name;
+      MICRONN_IO_STATS_COUNTERS(MICRONN_X)
+#undef MICRONN_X
+#define MICRONN_X(name)                        \
+  for (size_t s = 0; s < kMaxCacheShards; ++s) { \
+    out.name[s] = name[s] - rhs.name[s];         \
+  }
+      MICRONN_IO_STATS_SHARD_COUNTERS(MICRONN_X)
+#undef MICRONN_X
       return out;
     }
   };
 
   View Snapshot() const {
     View v;
-    v.pages_read_main = pages_read_main.load(std::memory_order_relaxed);
-    v.pages_read_wal = pages_read_wal.load(std::memory_order_relaxed);
-    v.pages_cache_hit = pages_cache_hit.load(std::memory_order_relaxed);
-    v.read_syscalls = read_syscalls.load(std::memory_order_relaxed);
-    v.write_syscalls = write_syscalls.load(std::memory_order_relaxed);
-    v.batch_reads = batch_reads.load(std::memory_order_relaxed);
-    v.pages_prefetched = pages_prefetched.load(std::memory_order_relaxed);
-    v.prefetch_hits = prefetch_hits.load(std::memory_order_relaxed);
-    v.cache_evictions = cache_evictions.load(std::memory_order_relaxed);
-    v.frames_written = frames_written.load(std::memory_order_relaxed);
-    v.wal_writes = wal_writes.load(std::memory_order_relaxed);
-    v.wal_syncs = wal_syncs.load(std::memory_order_relaxed);
-    v.wal_wraps = wal_wraps.load(std::memory_order_relaxed);
-    v.checkpoint_pages = checkpoint_pages.load(std::memory_order_relaxed);
-    v.commits = commits.load(std::memory_order_relaxed);
-    v.rows_inserted = rows_inserted.load(std::memory_order_relaxed);
-    v.rows_updated = rows_updated.load(std::memory_order_relaxed);
-    v.rows_deleted = rows_deleted.load(std::memory_order_relaxed);
-    v.io_retries = io_retries.load(std::memory_order_relaxed);
-    v.corruptions_detected =
-        corruptions_detected.load(std::memory_order_relaxed);
-    v.read_joins = read_joins.load(std::memory_order_relaxed);
-    v.enospc_probes = enospc_probes.load(std::memory_order_relaxed);
-    for (size_t s = 0; s < kMaxCacheShards; ++s) {
-      v.cache_shard_hits[s] =
-          cache_shard_hits[s].load(std::memory_order_relaxed);
-      v.cache_shard_misses[s] =
-          cache_shard_misses[s].load(std::memory_order_relaxed);
-      v.cache_shard_evictions[s] =
-          cache_shard_evictions[s].load(std::memory_order_relaxed);
-    }
+#define MICRONN_X(name) v.name = name.load(std::memory_order_relaxed);
+    MICRONN_IO_STATS_COUNTERS(MICRONN_X)
+#undef MICRONN_X
+#define MICRONN_X(name)                                \
+  for (size_t s = 0; s < kMaxCacheShards; ++s) {         \
+    v.name[s] = name[s].load(std::memory_order_relaxed); \
+  }
+    MICRONN_IO_STATS_SHARD_COUNTERS(MICRONN_X)
+#undef MICRONN_X
     return v;
   }
 };

@@ -10,12 +10,13 @@
 
 namespace micronn {
 
-// Shared state of one in-flight async read-ahead batch (see pager.h). The
-// ticket, the ReadOps it points at, and every page buffer live here so the
-// AsyncPrefetch handle and the pager's in-flight registry can co-own them:
-// whichever thread arrives first — the handle's Finish() or a demand read
-// joining one of the pages — drives the reap (Pager::DriveInflight), and
-// the other waits on `cv`.
+// Shared state of one in-flight main-file read (see pager.h). For a
+// read-ahead batch, the ticket, the ReadOps it points at, and every page
+// buffer live here so the AsyncPrefetch handle and the pager's in-flight
+// registry can co-own them: whichever thread arrives first — the handle's
+// Finish() or a demand read joining one of the pages — drives the reap
+// (Pager::DriveInflight), and the other waits on `cv`. A demand read
+// registers an entry with no ops, already driving, so joiners only wait.
 struct InflightBatch {
   struct PendingPage {
     PageId id;
@@ -339,7 +340,6 @@ Result<PagePtr> Pager::ReadCommitted(PageId id, uint64_t seq) {
   // number the next generation is about to reuse.
   for (;;) {
     std::shared_ptr<InflightBatch> join;
-    std::shared_ptr<SingleFlight> flight_wait;
     {
       auto pin = wal_->PinFrames();
       uint64_t version = 0;
@@ -356,86 +356,55 @@ Result<PagePtr> Pager::ReadCommitted(PageId id, uint64_t seq) {
         MICRONN_RETURN_IF_ERROR(wal_->ReadFrame(version, page.get(), &id));
         return cache_.Put(id, version, std::move(page));
       }
-      join = FindInflight(id);
-      if (join == nullptr) {
-        // Single-flight the lone read: if another demand miss on this
-        // page is already mid-pread, wait for its cache insert instead of
-        // duplicating the syscall.
-        std::shared_ptr<SingleFlight> flight;
-        {
-          std::lock_guard<std::mutex> lock(single_flight_mutex_);
-          auto [it, inserted] =
-              single_flight_.try_emplace(id, nullptr);
-          if (inserted) {
-            it->second = std::make_shared<SingleFlight>();
-            flight = it->second;
-          } else {
-            flight_wait = it->second;
-          }
-        }
-        if (flight != nullptr) {
-          // Leader: read, verify, install — then deregister and wake
-          // waiters, on success and failure alike. Install-before-
-          // deregister ordering is what lets a waiter trust the cache.
-          auto finish = [&](Status st) {
-            {
-              std::lock_guard<std::mutex> lock(single_flight_mutex_);
-              single_flight_.erase(id);
-            }
-            {
-              std::lock_guard<std::mutex> lock(flight->m);
-              flight->done = true;
-            }
-            flight->cv.notify_all();
-            return st;
-          };
-          const uint64_t off = static_cast<uint64_t>(id) * kPageSize;
-          if (off + kPageSize > db_file_->size()) {
-            return finish(Status::Corruption("page " + std::to_string(id) +
-                                             " beyond end of main file"));
-          }
-          Status st = db_file_->ReadAt(off, page->bytes(), kPageSize);
-          if (!st.ok()) return finish(std::move(st));
-          stats_.pages_read_main.fetch_add(1, std::memory_order_relaxed);
-          st = VerifyMainPage(id, page->bytes());
-          if (!st.ok()) return finish(std::move(st));
-          PagePtr result = cache_.Put(id, version, std::move(page));
-          finish(Status::OK()).ok();
-          return result;
+      // Register the main-file read in the in-flight registry, already
+      // driving, unless a read-ahead batch or another demand read has the
+      // page in flight — then join that one instead of duplicating the
+      // syscall.
+      std::shared_ptr<InflightBatch> mine;
+      {
+        std::lock_guard<std::mutex> lock(inflight_mutex_);
+        auto [it, inserted] = inflight_.try_emplace(id, nullptr);
+        if (inserted) {
+          it->second = mine = std::make_shared<InflightBatch>();
+          mine->driving = true;
+          mine->ids.push_back(id);
+        } else {
+          join = it->second;
         }
       }
+      if (mine != nullptr) {
+        // Read, verify, install — then complete (deregister and wake
+        // joiners), on success and failure alike. Install-before-
+        // deregister ordering is what lets a joiner trust the cache.
+        Result<PagePtr> result = [&]() -> Result<PagePtr> {
+          const uint64_t off = static_cast<uint64_t>(id) * kPageSize;
+          if (off + kPageSize > db_file_->size()) {
+            return Status::Corruption("page " + std::to_string(id) +
+                                      " beyond end of main file");
+          }
+          MICRONN_RETURN_IF_ERROR(
+              db_file_->ReadAt(off, page->bytes(), kPageSize));
+          stats_.pages_read_main.fetch_add(1, std::memory_order_relaxed);
+          MICRONN_RETURN_IF_ERROR(VerifyMainPage(id, page->bytes()));
+          return cache_.Put(id, version, std::move(page));
+        }();
+        CompleteInflight(mine.get());
+        return result;
+      }
     }
-    // The page is being read by someone else. Batch case: an in-flight
-    // async prefetch covers it — join that batch instead of issuing a
-    // duplicate read, driving its reap if nobody is (deadlock-free even
-    // when this thread submitted the batch itself). Single case: another
-    // demand read is mid-pread — wait for its install. Both waits happen
-    // outside the frame pin (a reap or a pread can block), then re-resolve
-    // from the top; the page is normally a cache hit now, and a
-    // failed/corrupt read falls through to a clean demand read (batch and
-    // single-flight both deregister before waking waiters).
+    // Someone else is reading the page: a read-ahead batch (drive its reap
+    // if nobody is — deadlock-free even when this thread submitted the
+    // batch itself) or another demand read (wait for its install). The
+    // wait happens outside the frame pin (a reap or a pread can block),
+    // then re-resolves from the top; the page is normally a cache hit
+    // now, and a failed/corrupt read falls through to a clean demand read
+    // (every entry deregisters before waking its joiners).
     stats_.read_joins.fetch_add(1, std::memory_order_relaxed);
-    if (join != nullptr) {
-      DriveInflight(join);
-    } else {
-      std::unique_lock<std::mutex> lock(flight_wait->m);
-      flight_wait->cv.wait(lock, [&] { return flight_wait->done; });
-    }
+    DriveInflight(join);
   }
 }
 
-Status Pager::ReadPages(std::span<const PageId> ids, uint64_t snapshot_seq) {
-  return ReadPagesInternal(ids, snapshot_seq, /*best_effort=*/false);
-}
-
-void Pager::PrefetchPages(std::span<const PageId> ids, uint64_t snapshot_seq) {
-  // Best-effort read-ahead: failures are dropped page by page, never
-  // surfaced — a demand read will retry (and report) any page that
-  // mattered.
-  ReadPagesInternal(ids, snapshot_seq, /*best_effort=*/true).ok();
-}
-
-std::unique_ptr<AsyncPrefetch> Pager::PrefetchPagesAsync(
+std::unique_ptr<AsyncPrefetch> Pager::PrefetchPages(
     std::span<const PageId> ids, uint64_t snapshot_seq) {
   if (ids.empty() || cache_.budget_bytes() == 0) return nullptr;
   std::vector<PageId> unique(ids.begin(), ids.end());
@@ -446,7 +415,7 @@ std::unique_ptr<AsyncPrefetch> Pager::PrefetchPagesAsync(
   auto batch = std::make_shared<InflightBatch>();
   std::vector<PageCache::Insert> wal_inserts;
   {
-    // Resolve under a frame pin, like ReadPagesInternal. WAL-frame misses
+    // Resolve under a frame pin, like ReadCommitted. WAL-frame misses
     // are read here, synchronously, while the pin is held: a frame read
     // must not outlive the pin (wrap-around recycles frame numbers), and
     // WAL frames are the recently-written minority. Main-file misses are
@@ -588,14 +557,18 @@ void Pager::DriveInflight(const std::shared_ptr<InflightBatch>& b) {
   } else {
     new std::shared_ptr<InflightBatch>(b);  // deliberate leak (see above)
   }
+  CompleteInflight(b.get());
+}
+
+void Pager::CompleteInflight(InflightBatch* b) {
   // Deregister before signalling: a woken joiner that misses the cache
-  // (its op failed) must fall through to a fresh demand read, not re-join
-  // this finished batch.
+  // (the read failed) must fall through to a fresh demand read, not
+  // re-join this finished entry.
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     for (PageId id : b->ids) {
       auto it = inflight_.find(id);
-      if (it != inflight_.end() && it->second.get() == b.get()) {
+      if (it != inflight_.end() && it->second.get() == b) {
         inflight_.erase(it);
       }
     }
@@ -606,136 +579,6 @@ void Pager::DriveInflight(const std::shared_ptr<InflightBatch>& b) {
     b->done = true;
   }
   b->cv.notify_all();
-}
-
-Status Pager::ReadPagesInternal(std::span<const PageId> ids, uint64_t seq,
-                                bool best_effort) {
-  if (ids.empty()) return Status::OK();
-  if (best_effort && cache_.budget_bytes() == 0) {
-    return Status::OK();  // nowhere to keep the pages; skip the I/O
-  }
-  // Same version resolution as ReadCommitted, vectorized: resolve each page
-  // to its WAL frame (or the main file), drop the ones already resident,
-  // and issue the misses as one batch per source file. Pinned like
-  // ReadCommitted so a wrap-around restart cannot recycle a resolved
-  // frame number before the batch lands in the cache.
-  auto pin = wal_->PinFrames();
-  std::vector<PageId> unique(ids.begin(), ids.end());
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-
-  struct Miss {
-    PageId id;
-    uint64_t version;  // 0 = main file, else WAL frame number
-    std::shared_ptr<Page> page;
-  };
-  std::vector<Miss> main_misses;
-  std::vector<Miss> wal_misses;
-  std::vector<PageId> join_ids;  // in-flight async prefetch covers these
-  const uint64_t file_size = db_file_->size();
-  for (PageId id : unique) {
-    uint64_t version = 0;
-    if (auto frame = wal_->FindFrame(id, seq)) {
-      version = *frame;
-    }
-    if (cache_.Contains(id, version)) continue;
-    if (version == 0) {
-      const uint64_t off = static_cast<uint64_t>(id) * kPageSize;
-      if (off + kPageSize > file_size) {
-        if (best_effort) continue;  // stale hint (e.g. raced a truncate)
-        return Status::Corruption("page " + std::to_string(id) +
-                                  " beyond end of main file");
-      }
-      if (FindInflight(id) != nullptr) {
-        // An async prefetch already has this page in flight: never issue a
-        // duplicate read. Best-effort callers just skip it (the batch will
-        // install it); strict callers join it after the batch I/O below.
-        if (!best_effort) join_ids.push_back(id);
-        continue;
-      }
-      main_misses.push_back({id, 0, std::make_shared<Page>()});
-    } else {
-      wal_misses.push_back({id, version, std::make_shared<Page>()});
-    }
-  }
-  if (main_misses.empty() && wal_misses.empty() && join_ids.empty()) {
-    return Status::OK();
-  }
-
-  std::vector<PageCache::Insert> inserts;
-  inserts.reserve(main_misses.size() + wal_misses.size());
-
-  if (!main_misses.empty()) {
-    std::vector<ReadOp> reads;
-    reads.reserve(main_misses.size());
-    for (Miss& m : main_misses) {
-      reads.push_back({static_cast<uint64_t>(m.id) * kPageSize,
-                       m.page->bytes(), kPageSize, Status::OK()});
-    }
-    stats_.batch_reads.fetch_add(1, std::memory_order_relaxed);
-    Status st = db_file_->ReadBatch(reads.data(), reads.size());
-    if (!st.ok() && !best_effort) return st;
-    if (st.ok()) {
-      for (size_t i = 0; i < main_misses.size(); ++i) {
-        if (!reads[i].status.ok()) {
-          if (best_effort) continue;
-          return reads[i].status;
-        }
-        stats_.pages_read_main.fetch_add(1, std::memory_order_relaxed);
-        Status verify =
-            VerifyMainPage(main_misses[i].id, main_misses[i].page->bytes());
-        if (!verify.ok()) {
-          if (best_effort) continue;
-          return verify;
-        }
-        inserts.push_back({main_misses[i].id, 0,
-                           std::move(main_misses[i].page)});
-      }
-    }
-  }
-
-  if (!wal_misses.empty()) {
-    std::vector<std::pair<uint64_t, Page*>> ops;
-    std::vector<PageId> expect;
-    ops.reserve(wal_misses.size());
-    expect.reserve(wal_misses.size());
-    for (Miss& m : wal_misses) {
-      ops.emplace_back(m.version, m.page.get());
-      expect.push_back(m.id);
-    }
-    std::vector<Status> per_op;
-    stats_.batch_reads.fetch_add(1, std::memory_order_relaxed);
-    Status st = wal_->ReadFrameBatch(ops, &per_op, &expect);
-    if (!st.ok() && !best_effort) return st;
-    if (st.ok()) {
-      for (size_t i = 0; i < wal_misses.size(); ++i) {
-        if (!per_op[i].ok()) {
-          if (best_effort) continue;
-          return per_op[i];
-        }
-        inserts.push_back({wal_misses[i].id, wal_misses[i].version,
-                           std::move(wal_misses[i].page)});
-      }
-    }
-  }
-
-  if (!inserts.empty()) {
-    if (best_effort) {
-      stats_.pages_prefetched.fetch_add(inserts.size(),
-                                        std::memory_order_relaxed);
-    }
-    cache_.PutBatch(inserts, /*prefetched=*/best_effort);
-  }
-
-  // Strict callers must land every requested page: pages an async
-  // prefetch had in flight are joined now (ReadCommitted drives or waits
-  // on the batch, then re-resolves), after this call's own batch I/O so
-  // the join overlaps it.
-  for (PageId id : join_ids) {
-    MICRONN_ASSIGN_OR_RETURN(PagePtr page, ReadCommitted(id, seq));
-    (void)page;  // resident in the cache now
-  }
-  return Status::OK();
 }
 
 Result<std::unique_ptr<WriteTxnState>> Pager::BeginWrite() {
@@ -1153,7 +996,7 @@ Status Pager::CheckpointImpl(bool block_for_readers) {
         return wal_sync;
       }
       PublishDurable(synced_through);
-      // Batched fold, the write-side twin of ReadPagesInternal: read the
+      // Batched fold, the write-side twin of PrefetchPages: read the
       // folded frames through the batched WAL read path and land them as
       // coalesced vectored writes. The map iterates in ascending page id,
       // so main-file offsets ascend and adjacent pages coalesce into one

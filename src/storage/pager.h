@@ -108,7 +108,7 @@ struct PagerOptions {
   /// MICRONN_IO_BACKEND environment variable ("pread"/"uring"/"auto")
   /// overrides this, and an unavailable uring degrades to pread — page
   /// images and query results are bit-identical across backends; only
-  /// the syscall pattern of batched reads (Pager::ReadPages) differs.
+  /// the syscall pattern of batched reads (Pager::PrefetchPages) differs.
   IoBackend io_backend = IoBackend::kAuto;
 
   /// Pipeline commit appends through the group-commit leader (default
@@ -242,22 +242,22 @@ class PageView {
   virtual bool writable() const = 0;
 };
 
-/// Shared state of one in-flight async read-ahead batch: the pending
-/// pages, their ReadOps, and the backend ticket. Owned jointly by the
-/// AsyncPrefetch handle and the pager's in-flight registry so that either
-/// the handle's Finish() or a joining demand reader can drive the reap
-/// (Pager::DriveInflight). Defined in pager.cc.
+/// Shared state of one in-flight main-file read: a read-ahead batch (the
+/// pending pages, their ReadOps, and the backend ticket) or a single
+/// demand read. Owned jointly by its reader and the pager's in-flight
+/// registry so that a joining demand reader can wait for it or, for a
+/// read-ahead, drive the reap itself (Pager::DriveInflight). Defined in
+/// pager.cc.
 struct InflightBatch;
 
-/// An in-flight asynchronous read-ahead, returned by
-/// Pager::PrefetchPagesAsync. The main-file reads it covers were already
-/// submitted to the backend when the handle was created; Finish() reaps
-/// the completions, verifies checksums, and installs the pages that
-/// arrived into the page cache (best-effort, like PrefetchPages). The
-/// destructor finishes if the caller did not. A demand read that misses
-/// on one of the in-flight pages joins this batch (driving the reap if
-/// nobody is) instead of issuing a duplicate read, so Finish() may find
-/// the work already done.
+/// An in-flight read-ahead, returned by Pager::PrefetchPages. The
+/// main-file reads it covers were already submitted to the backend when
+/// the handle was created; Finish() reaps the completions, verifies
+/// checksums, and installs the pages that arrived into the page cache
+/// (best-effort: failed pages are skipped). The destructor finishes if
+/// the caller did not. A demand read that misses on one of the in-flight
+/// pages joins this batch (driving the reap if nobody is) instead of
+/// issuing a duplicate read, so Finish() may find the work already done.
 ///
 /// The snapshot the pages were resolved under must stay registered until
 /// Finish() returns: that is what keeps the checkpoint backfill from
@@ -271,8 +271,8 @@ class AsyncPrefetch {
   AsyncPrefetch& operator=(const AsyncPrefetch&) = delete;
 
   /// Blocks until every submitted read completed, then installs the
-  /// successful pages. Idempotent; per-page failures are dropped exactly
-  /// like PrefetchPages (the demand read will surface them).
+  /// successful pages. Idempotent; per-page failures are dropped (the
+  /// demand read will surface them).
   void Finish();
 
  private:
@@ -341,34 +341,26 @@ class Pager {
   /// Reads `id` as of `snapshot_seq`.
   Result<PagePtr> ReadPage(PageId id, uint64_t snapshot_seq);
 
-  /// Batched read: resolves each page against the WAL index, skips the
-  /// cache-resident ones, reads the misses in (at most) one main-file
-  /// batch plus one WAL batch (FileHandle::ReadBatch — a single
-  /// submitting syscall each on the uring backend), and lands the images
-  /// in the page cache. Strict: any failed page fails the call. Callers
-  /// hold a registered snapshot, like ReadPage.
-  Status ReadPages(std::span<const PageId> ids, uint64_t snapshot_seq);
-
-  /// Best-effort ReadPages for read-ahead: per-page failures are skipped
-  /// (the demand read will surface them), inserted pages are flagged so
-  /// IoStats::pages_prefetched / prefetch_hits track read-ahead efficacy,
-  /// and a zero-budget cache makes it a no-op.
-  void PrefetchPages(std::span<const PageId> ids, uint64_t snapshot_seq);
-
-  /// Asynchronous PrefetchPages: resolves the ids, serves WAL-frame
-  /// misses immediately (synchronously, under the frame pin — frame
-  /// reads must not outlive the pin, and the WAL is the fast minority),
-  /// submits the main-file misses to the backend without waiting, and
-  /// returns a handle whose Finish() reaps the completions and installs
-  /// the pages. On the uring backend the reads proceed in the kernel
-  /// while the caller scores the previous partition; the emulated pread
-  /// backend performs them at Finish() (bit-identical results, no
-  /// overlap). Returns nullptr when there is nothing to read ahead
-  /// (cache-resident, zero cache budget, empty ids) — callers treat
-  /// nullptr as an already-finished handle. The caller's snapshot must
-  /// stay registered until Finish() returns (see AsyncPrefetch).
-  std::unique_ptr<AsyncPrefetch> PrefetchPagesAsync(
-      std::span<const PageId> ids, uint64_t snapshot_seq);
+  /// Best-effort batched read-ahead: resolves each page against the WAL
+  /// index, skips the cache-resident ones and those already in flight,
+  /// serves WAL-frame misses immediately (one WAL batch, synchronously,
+  /// under the frame pin — frame reads must not outlive the pin, and the
+  /// WAL is the fast minority), submits the main-file misses as one batch
+  /// without waiting (FileHandle::SubmitRead — a single submitting
+  /// syscall on the uring backend), and returns a handle whose Finish()
+  /// reaps the completions and installs the pages. Calling Finish() right
+  /// away costs the same syscalls as one blocking batched read; reaping
+  /// later lets the reads proceed in the kernel while the caller scores
+  /// (the emulated pread backend performs them at Finish() — bit-identical
+  /// results, no overlap). Failed pages are skipped (the demand read will
+  /// surface them), and installed pages are flagged so
+  /// IoStats::pages_prefetched / prefetch_hits track read-ahead efficacy.
+  /// Returns nullptr when there is nothing to wait for (cache-resident,
+  /// zero cache budget, empty ids) — callers treat nullptr as an
+  /// already-finished handle. The caller's snapshot must stay registered
+  /// until Finish() returns (see AsyncPrefetch).
+  std::unique_ptr<AsyncPrefetch> PrefetchPages(std::span<const PageId> ids,
+                                               uint64_t snapshot_seq);
 
   // --- Writer ---
 
@@ -523,10 +515,6 @@ class Pager {
   // and `*pass_done` whether the cursor reached the end of the file.
   Status ScrubStepLocked(uint32_t max_pages, uint32_t* walked,
                          bool* pass_done);
-  // Shared body of ReadPages/PrefetchPages; `best_effort` skips failed
-  // pages instead of failing and flags inserts as prefetched.
-  Status ReadPagesInternal(std::span<const PageId> ids, uint64_t seq,
-                           bool best_effort);
   // Checkpoint body; caller holds the writer slot. Folds up to the reader
   // horizon; when `block_for_readers` is set, additionally waits (bounded
   // by wal_backpressure_wait_ms) for the registry to drain so the fold can
@@ -576,35 +564,27 @@ class Pager {
   ScrubState scrub_;
   bool scrub_was_legacy_ = false;  // header was < v4 when the pass began
 
-  // In-flight async-prefetch registry: main-file pages whose SubmitRead
-  // has not been reaped yet. A demand read that misses on one of these
-  // *joins* the batch — it drives the reap itself if nobody is, or waits
-  // for the driver — instead of issuing a duplicate read; a second
-  // prefetch skips them entirely. Joiner-driven reaping is what makes the
-  // join deadlock-free: the thread that submitted the prefetch may itself
-  // demand-read one of its pages (rerank point reads cross partitions)
-  // before calling Finish.
+  // In-flight read registry: main-file pages whose read has not finished
+  // yet — a read-ahead batch whose SubmitRead has not been reaped, or a
+  // lone demand read mid-pread. A demand read that misses on one of these
+  // *joins* the entry instead of issuing a duplicate read: it drives a
+  // read-ahead's reap itself if nobody is, or waits for the driver (a
+  // demand read is registered already driving). Read-ahead skips them
+  // entirely. Joiner-driven reaping is what makes the join deadlock-free:
+  // the thread that submitted the prefetch may itself demand-read one of
+  // its pages (rerank point reads cross partitions) before calling
+  // Finish. Every entry ends through CompleteInflight, which deregisters
+  // before signalling, so a woken joiner that still misses the cache
+  // (the read failed) becomes the next leader and reads — and reports —
+  // on its own.
   std::shared_ptr<InflightBatch> FindInflight(PageId id);
   // Reaps, verifies, and installs `b` exactly once (whoever arrives first
-  // drives; everyone else waits), then deregisters its pages. Idempotent.
+  // drives; everyone else waits), then completes it. Idempotent.
   void DriveInflight(const std::shared_ptr<InflightBatch>& b);
+  // Deregisters `b`'s pages, then marks it done and wakes its joiners.
+  void CompleteInflight(InflightBatch* b);
   std::mutex inflight_mutex_;
   std::unordered_map<PageId, std::shared_ptr<InflightBatch>> inflight_;
-
-  // Single-flight registry for lone demand reads, the demand-vs-demand
-  // twin of the batch join above: concurrent demand misses on the same
-  // main-file page (hot B+Tree inner pages under a cold cache) would each
-  // issue their own pread — the first reader registers here, later ones
-  // wait and re-resolve from the cache. A failed leader deregisters
-  // before signalling, so a woken waiter that still misses becomes the
-  // next leader and reads (and reports) on its own.
-  struct SingleFlight {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-  };
-  std::mutex single_flight_mutex_;
-  std::unordered_map<PageId, std::shared_ptr<SingleFlight>> single_flight_;
 
   // Guards the reader registry and the published commit horizon
   // (last_committed_seq_, page_count_). On the read and commit paths it is

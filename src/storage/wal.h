@@ -175,13 +175,14 @@ class Wal {
   Status ReadFrame(uint64_t frame_no, Page* out,
                    const PageId* expect_page = nullptr) const;
 
-  /// One batched frame read of a Pager::ReadPages miss set. ops[i].second
-  /// receives the page image of 1-based frame ops[i].first; per-frame
-  /// outcomes land in (*per_op)[i] (sized by this call). Every on-file
-  /// frame is verified like ReadFrame; `expect_pages` (if non-null, sized
-  /// like `ops`) pins each frame to its expected page id. The return value
-  /// reports transport-level failure only, so a best-effort prefetch can
-  /// keep the frames that did arrive. Same pinning contract as ReadFrame.
+  /// One batched frame read of a Pager::PrefetchPages miss set.
+  /// ops[i].second receives the page image of 1-based frame ops[i].first;
+  /// per-frame outcomes land in (*per_op)[i] (sized by this call). Every
+  /// on-file frame is verified like ReadFrame; `expect_pages` (if
+  /// non-null, sized like `ops`) pins each frame to its expected page id.
+  /// The return value reports transport-level failure only, so a
+  /// best-effort prefetch can keep the frames that did arrive. Same
+  /// pinning contract as ReadFrame.
   Status ReadFrameBatch(const std::vector<std::pair<uint64_t, Page*>>& ops,
                         std::vector<Status>* per_op,
                         const std::vector<PageId>* expect_pages = nullptr) const;

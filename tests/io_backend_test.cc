@@ -1,6 +1,6 @@
 // The batched read path: backend selection (pread / io_uring / forced
 // fallback), FileHandle::ReadBatch correctness on both backends,
-// Pager::ReadPages / PrefetchPages semantics and counters, fault injection
+// Pager::PrefetchPages semantics and counters, fault injection
 // through PagerOptions::file_wrapper, and end-to-end cold-cache parity —
 // every backend x prefetch depth must return bit-identical search results
 // and per-query counters.
@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -452,10 +453,18 @@ TEST_F(IoBackendTest, WriteBatchCoalescesSyscalls) {
 }
 
 // ---------------------------------------------------------------------------
-// Pager::ReadPages / PrefetchPages
+// Pager::PrefetchPages
 // ---------------------------------------------------------------------------
 
 using PagerBatchTest = TempDir;
+
+// Read-ahead reaped at once: the submit-and-wait shape.
+void PrefetchAndFinish(Pager* pager, std::span<const PageId> pages,
+                       uint64_t seq) {
+  if (std::unique_ptr<AsyncPrefetch> h = pager->PrefetchPages(pages, seq)) {
+    h->Finish();
+  }
+}
 
 TEST_F(PagerBatchTest, PrefetchThenDemandReadsHitCache) {
   auto pager = Pager::Open(Path("db"), PagerOptions{}).value();
@@ -472,7 +481,7 @@ TEST_F(PagerBatchTest, PrefetchThenDemandReadsHitCache) {
   pager->DropCaches();
   const uint64_t seq = pager->BeginSnapshot();
   const IoStats::View before = pager->io_stats().Snapshot();
-  pager->PrefetchPages(pages, seq);
+  PrefetchAndFinish(pager.get(), pages, seq);
   const IoStats::View mid = pager->io_stats().Snapshot() - before;
   EXPECT_EQ(mid.pages_prefetched, pages.size());
   EXPECT_GT(mid.batch_reads, 0u);
@@ -487,7 +496,7 @@ TEST_F(PagerBatchTest, PrefetchThenDemandReadsHitCache) {
   pager->EndSnapshot(seq);
 }
 
-TEST_F(PagerBatchTest, ReadPagesIsStrictAndIdempotent) {
+TEST_F(PagerBatchTest, PrefetchPagesIsIdempotent) {
   auto pager = Pager::Open(Path("db"), PagerOptions{}).value();
   std::vector<PageId> pages;
   {
@@ -501,18 +510,16 @@ TEST_F(PagerBatchTest, ReadPagesIsStrictAndIdempotent) {
   ASSERT_TRUE(pager->Checkpoint().ok());
   pager->DropCaches();
   const uint64_t seq = pager->BeginSnapshot();
-  ASSERT_TRUE(pager->ReadPages(pages, seq).ok());
+  PrefetchAndFinish(pager.get(), pages, seq);
   // A second call finds everything resident: no new I/O.
   const IoStats::View before = pager->io_stats().Snapshot();
-  ASSERT_TRUE(pager->ReadPages(pages, seq).ok());
+  EXPECT_EQ(pager->PrefetchPages(pages, seq), nullptr);
   const IoStats::View delta = pager->io_stats().Snapshot() - before;
   EXPECT_EQ(delta.pages_read_main, 0u);
   EXPECT_EQ(delta.pages_read_wal, 0u);
-  // A bogus page id is an error for the strict API...
+  // A bogus page id is silently skipped by the best-effort read-ahead.
   std::vector<PageId> bogus = {static_cast<PageId>(1 << 20)};
-  EXPECT_FALSE(pager->ReadPages(bogus, seq).ok());
-  // ...and silently dropped by the best-effort one.
-  pager->PrefetchPages(bogus, seq);
+  EXPECT_EQ(pager->PrefetchPages(bogus, seq), nullptr);
   pager->EndSnapshot(seq);
 }
 
@@ -566,8 +573,7 @@ TEST_F(PagerBatchTest, AsyncPrefetchInstallsPagesOnFinish) {
   const uint64_t seq = pager->BeginSnapshot();
   const IoStats::View before = pager->io_stats().Snapshot();
   {
-    std::unique_ptr<AsyncPrefetch> handle =
-        pager->PrefetchPagesAsync(pages, seq);
+    std::unique_ptr<AsyncPrefetch> handle = pager->PrefetchPages(pages, seq);
     ASSERT_NE(handle, nullptr);
     handle->Finish();
   }
@@ -580,7 +586,7 @@ TEST_F(PagerBatchTest, AsyncPrefetchInstallsPagesOnFinish) {
   EXPECT_EQ(after.prefetch_hits, pages.size());
   EXPECT_EQ(after.pages_cache_hit, pages.size());
   // Cached pages produce no in-flight work: null handle.
-  EXPECT_EQ(pager->PrefetchPagesAsync(pages, seq), nullptr);
+  EXPECT_EQ(pager->PrefetchPages(pages, seq), nullptr);
   pager->EndSnapshot(seq);
 }
 
@@ -600,7 +606,7 @@ TEST_F(PagerBatchTest, EvictionCountersMatchShardSums) {
   pager->DropCaches();
   const uint64_t seq = pager->BeginSnapshot();
   const IoStats::View before = pager->io_stats().Snapshot();
-  ASSERT_TRUE(pager->ReadPages(pages, seq).ok());
+  PrefetchAndFinish(pager.get(), pages, seq);
   pager->EndSnapshot(seq);
   const IoStats::View delta = pager->io_stats().Snapshot() - before;
   EXPECT_GT(delta.cache_evictions, 0u);
@@ -691,47 +697,6 @@ TEST_F(PagerBatchTest, TornVectoredCheckpointWriteRefoldsOnRetry) {
 }
 
 // ---------------------------------------------------------------------------
-// PrefetchController (DbOptions::adaptive_prefetch)
-// ---------------------------------------------------------------------------
-
-TEST(PrefetchControllerTest, AimdPolicyAndProbe) {
-  PrefetchController c(2, 4);
-  EXPECT_EQ(c.depth(), 2u);
-  // Converting well with no evictions: additive increase, clamped at max.
-  c.Observe(100, 90, 0);
-  EXPECT_EQ(c.depth(), 3u);
-  c.Observe(100, 90, 0);
-  EXPECT_EQ(c.depth(), 4u);
-  c.Observe(100, 90, 0);
-  EXPECT_EQ(c.depth(), 4u);
-  // Middle zone (converting OK, not great): hold.
-  c.Observe(100, 60, 10);
-  EXPECT_EQ(c.depth(), 4u);
-  // Mostly unused read-ahead: back off.
-  c.Observe(100, 10, 0);
-  EXPECT_EQ(c.depth(), 3u);
-  // Churning the cache harder than it fetches: back off.
-  c.Observe(100, 90, 150);
-  EXPECT_EQ(c.depth(), 2u);
-  // Drive to zero...
-  c.Observe(10, 0, 0);
-  c.Observe(10, 0, 0);
-  EXPECT_EQ(c.depth(), 0u);
-  // ...and idle groups probe back at depth 1 after a few rounds.
-  c.Observe(0, 0, 0);
-  c.Observe(0, 0, 0);
-  c.Observe(0, 0, 0);
-  EXPECT_EQ(c.depth(), 0u);
-  c.Observe(0, 0, 0);
-  EXPECT_EQ(c.depth(), 1u);
-}
-
-TEST(PrefetchControllerTest, InitialDepthClampedToMax) {
-  PrefetchController c(16, 4);
-  EXPECT_EQ(c.depth(), 4u);
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end cold-cache parity: backends x prefetch depths
 // ---------------------------------------------------------------------------
 
@@ -784,13 +749,11 @@ class ColdCacheParityTest : public TempDir {
   };
 
   RunResult RunQueries(const std::string& path, IoBackend backend,
-                       uint32_t prefetch_depth, bool async = true,
-                       bool adaptive = false) {
+                       uint32_t prefetch_depth, bool async = true) {
     DbOptions o = BaseOptions();
     o.pager.io_backend = backend;
     o.prefetch_depth = prefetch_depth;
     o.async_prefetch = async;
-    o.adaptive_prefetch = adaptive;
     auto db = DB::Open(path, o).value();
     db->DropCaches();
     RunResult out;
@@ -857,43 +820,34 @@ TEST_F(ColdCacheParityTest, BackendsAndDepthsAreBitIdentical) {
   }
 }
 
-TEST_F(ColdCacheParityTest, AsyncAndAdaptiveAreBitIdentical) {
+TEST_F(ColdCacheParityTest, ReapModesAreBitIdentical) {
   // The full mode matrix against the fully blocking seed path: {pread,
-  // uring} x {submit-and-wait, async overlap} x {fixed, adaptive depth}.
-  // Same randomized workload, bit-identical results and per-query
-  // counters in every cell.
+  // uring} x {reap at once, async overlap} x depth {0, 2, 8}. Same
+  // randomized workload, bit-identical results and per-query counters in
+  // every cell.
   const std::string path = Path("db");
   BuildDataset(path);
   const RunResult baseline =
       RunQueries(path, IoBackend::kPread, 0, /*async=*/false);
   ASSERT_FALSE(baseline.ids.empty());
 
-  struct Config {
-    IoBackend backend;
-    uint32_t depth;
-    bool async;
-    bool adaptive;
-  };
-  const Config configs[] = {
-      {IoBackend::kPread, 2, false, false},
-      {IoBackend::kPread, 2, true, false},
-      {IoBackend::kPread, 2, true, true},
-      {IoBackend::kUring, 2, false, false},
-      {IoBackend::kUring, 2, true, false},
-      {IoBackend::kUring, 2, true, true},
-      {IoBackend::kUring, 8, true, true},
-  };
-  for (const Config& c : configs) {
-    SCOPED_TRACE(std::string(IoBackendName(c.backend)) + " depth " +
-                 std::to_string(c.depth) + (c.async ? " async" : " sync") +
-                 (c.adaptive ? " adaptive" : " fixed"));
-    const RunResult got =
-        RunQueries(path, c.backend, c.depth, c.async, c.adaptive);
-    EXPECT_EQ(got.ids, baseline.ids);
-    EXPECT_EQ(got.distances, baseline.distances);  // bit-identical floats
-    EXPECT_EQ(got.counters, baseline.counters);
-    EXPECT_GT(got.io.pages_prefetched, 0u);
-    EXPECT_GT(got.io.prefetch_hits, 0u);
+  for (const IoBackend backend : {IoBackend::kPread, IoBackend::kUring}) {
+    for (const bool async : {false, true}) {
+      for (const uint32_t depth : {0u, 2u, 8u}) {
+        SCOPED_TRACE(std::string(IoBackendName(backend)) + " depth " +
+                     std::to_string(depth) + (async ? " async" : " sync"));
+        const RunResult got = RunQueries(path, backend, depth, async);
+        EXPECT_EQ(got.ids, baseline.ids);
+        EXPECT_EQ(got.distances, baseline.distances);  // bit-identical
+        EXPECT_EQ(got.counters, baseline.counters);
+        if (depth > 0) {
+          EXPECT_GT(got.io.pages_prefetched, 0u);
+          EXPECT_GT(got.io.prefetch_hits, 0u);
+        } else {
+          EXPECT_EQ(got.io.pages_prefetched, 0u);
+        }
+      }
+    }
   }
 }
 

@@ -7,15 +7,22 @@
 // views of the committed state to detect torn snapshots.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstring>
 #include <filesystem>
+#include <functional>
+#include <limits>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "storage/engine.h"
 #include "storage/key_encoding.h"
+#include "storage/pager.h"
 
 namespace micronn {
 namespace {
@@ -633,6 +640,202 @@ TEST_F(PagerConcurrencyTest, WalWrapBoundsGrowthUnderRollingPinnedReader) {
   EXPECT_GE(off.max_wal_bytes, 2 * on.max_wal_bytes)
       << "wrap-around did not bound WAL file size (on=" << on.max_wal_bytes
       << " bytes, off=" << off.max_wal_bytes << " bytes)";
+}
+
+// ---------------------------------------------------------------------------
+// Demand-vs-demand dedup through the in-flight read registry
+// ---------------------------------------------------------------------------
+
+// Latch on one main-file page: the first ReadAt of that page blocks until
+// Release() (optionally failing afterwards); every other read passes.
+struct PageGate {
+  std::atomic<uint64_t> offset{std::numeric_limits<uint64_t>::max()};
+  std::atomic<int> target_reads{0};  // ReadAt calls on the gated page
+  std::atomic<int> batch_reads{0};   // ReadBatch calls (any page)
+  std::atomic<bool> fail_first{false};
+  std::mutex m;
+  std::condition_variable cv;
+  bool open = false;
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(m);
+      open = true;
+    }
+    cv.notify_all();
+  }
+};
+
+class GatedFile final : public FileHandle {
+ public:
+  GatedFile(std::unique_ptr<FileHandle> base, std::shared_ptr<PageGate> gate)
+      : base_(std::move(base)), gate_(std::move(gate)) {}
+
+  Status ReadAt(uint64_t offset, void* buf, size_t n) override {
+    if (offset == gate_->offset.load() && ++gate_->target_reads == 1) {
+      std::unique_lock<std::mutex> lock(gate_->m);
+      gate_->cv.wait(lock, [&] { return gate_->open; });
+      if (gate_->fail_first.load()) {
+        return Status::IOError("injected read fault in " + base_->path());
+      }
+    }
+    return base_->ReadAt(offset, buf, n);
+  }
+  Status ReadBatch(ReadOp* ops, size_t n) override {
+    ++gate_->batch_reads;
+    return base_->ReadBatch(ops, n);
+  }
+  Status WriteAt(uint64_t offset, const void* buf, size_t n) override {
+    return base_->WriteAt(offset, buf, n);
+  }
+  Status WriteBatch(WriteOp* ops, size_t n) override {
+    return base_->WriteBatch(ops, n);
+  }
+  Status Append(const void* buf, size_t n) override {
+    return base_->Append(buf, n);
+  }
+  Status Sync() override { return base_->Sync(); }
+  Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+  uint64_t size() const override { return base_->size(); }
+  const std::string& path() const override { return base_->path(); }
+  void set_io_stats(IoStats* stats) override { base_->set_io_stats(stats); }
+
+ private:
+  std::unique_ptr<FileHandle> base_;
+  std::shared_ptr<PageGate> gate_;
+};
+
+// Spins until `pred` holds; false after a 10 s timeout.
+bool SpinUntil(const std::function<bool()>& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+class DemandDedupTest : public PagerConcurrencyTest {
+ protected:
+  static constexpr size_t kMaxReaders = 8;
+
+  // Opens a pager whose main file goes through the gate, commits four
+  // distinct pages, folds them into the main file, drops the cache, and
+  // gates the third page.
+  void SetUp() override {
+    PagerConcurrencyTest::SetUp();
+    gate_ = std::make_shared<PageGate>();
+    PagerOptions options;
+    options.file_wrapper = [gate = gate_](std::unique_ptr<FileHandle> base,
+                                          std::string_view role)
+        -> std::unique_ptr<FileHandle> {
+      if (role != "db") return base;
+      return std::make_unique<GatedFile>(std::move(base), gate);
+    };
+    pager_ = Pager::Open(path_, options).value();
+    std::vector<PageId> pages;
+    auto txn = pager_->BeginWrite().value();
+    for (uint32_t i = 0; i < 4; ++i) {
+      const PageId pid = pager_->AllocatePage(txn.get()).value();
+      pager_->GetMutablePage(txn.get(), pid).value()->WriteU32(0, 500 + i);
+      pages.push_back(pid);
+    }
+    ASSERT_TRUE(pager_->CommitWrite(std::move(txn)).ok());
+    ASSERT_TRUE(pager_->Checkpoint().ok());
+    ASSERT_EQ(pager_->wal_frame_count(), 0u);  // served by the main file
+    pager_->DropCaches();
+    target_ = pages[2];
+    gate_->offset.store(static_cast<uint64_t>(target_) * kPageSize);
+    seq_ = pager_->BeginSnapshot();
+  }
+  void TearDown() override {
+    ReleaseAndJoin();  // never leave a reader parked on a failed assert
+    if (pager_ != nullptr) pager_->EndSnapshot(seq_);
+    pager_.reset();
+    PagerConcurrencyTest::TearDown();
+  }
+
+  // Starts a thread that demand-reads the gated page into slot `r`.
+  void StartReader(size_t r) {
+    readers_.emplace_back([this, r] {
+      Result<PagePtr> page = pager_->ReadPage(target_, seq_);
+      status_[r] = page.status();
+      if (page.ok()) page_[r] = *page;
+    });
+  }
+  // Opens the latch and joins every reader.
+  void ReleaseAndJoin() {
+    gate_->Release();
+    for (std::thread& t : readers_) t.join();
+    readers_.clear();
+  }
+  uint64_t ReadJoins() { return pager_->io_stats().read_joins.load(); }
+
+  std::shared_ptr<PageGate> gate_;
+  std::unique_ptr<Pager> pager_;
+  PageId target_ = 0;
+  uint64_t seq_ = 0;
+  std::vector<std::thread> readers_;
+  std::array<Status, kMaxReaders> status_;
+  std::array<PagePtr, kMaxReaders> page_;
+};
+
+TEST_F(DemandDedupTest, ConcurrentMissesShareOneRead) {
+  const IoStats::View before = pager_->io_stats().Snapshot();
+  for (size_t r = 0; r < kMaxReaders; ++r) StartReader(r);
+  // One reader leads (parked in the gated ReadAt); the other seven must
+  // join its registry entry before the latch opens.
+  EXPECT_TRUE(SpinUntil([&] {
+    return ReadJoins() - before.read_joins >= kMaxReaders - 1;
+  })) << "demand misses did not join the in-flight read";
+  ReleaseAndJoin();
+
+  const IoStats::View delta = pager_->io_stats().Snapshot() - before;
+  EXPECT_EQ(delta.pages_read_main, 1u);
+  EXPECT_EQ(gate_->target_reads.load(), 1);
+  for (size_t r = 0; r < kMaxReaders; ++r) {
+    ASSERT_TRUE(status_[r].ok()) << "reader " << r << ": "
+                                 << status_[r].ToString();
+    EXPECT_EQ(page_[r]->ReadU32(0), 502u);
+    EXPECT_EQ(std::memcmp(page_[r]->bytes(), page_[0]->bytes(), kPageSize),
+              0);
+  }
+}
+
+TEST_F(DemandDedupTest, ReadAheadSkipsPageInDemandFlight) {
+  StartReader(0);
+  ASSERT_TRUE(SpinUntil([&] { return gate_->target_reads.load() == 1; }));
+  // The demand read is parked mid-pread: read-ahead of the same page must
+  // neither wait for it nor issue a second read.
+  const IoStats::View before = pager_->io_stats().Snapshot();
+  const std::vector<PageId> ids = {target_};
+  EXPECT_EQ(pager_->PrefetchPages(ids, seq_), nullptr);
+  const IoStats::View delta = pager_->io_stats().Snapshot() - before;
+  EXPECT_EQ(delta.batch_reads, 0u);
+  EXPECT_EQ(delta.pages_read_main, 0u);
+  EXPECT_EQ(gate_->batch_reads.load(), 0);
+  EXPECT_EQ(gate_->target_reads.load(), 1);
+  ReleaseAndJoin();
+  EXPECT_TRUE(status_[0].ok()) << status_[0].ToString();
+}
+
+TEST_F(DemandDedupTest, FailedLeaderHandsOffToWaiter) {
+  gate_->fail_first.store(true);
+  const IoStats::View before = pager_->io_stats().Snapshot();
+  StartReader(0);  // the leader: parks in the gated read, then fails
+  ASSERT_TRUE(SpinUntil([&] { return gate_->target_reads.load() == 1; }));
+  StartReader(1);  // the waiter
+  ASSERT_TRUE(SpinUntil([&] { return ReadJoins() > before.read_joins; }));
+  ReleaseAndJoin();
+
+  // The leader's caller sees its own failure; the woken waiter misses the
+  // cache, becomes the next leader, and reads the page itself.
+  EXPECT_TRUE(status_[0].IsIOError()) << status_[0].ToString();
+  ASSERT_TRUE(status_[1].ok()) << status_[1].ToString();
+  EXPECT_EQ(page_[1]->ReadU32(0), 502u);
+  EXPECT_EQ(gate_->target_reads.load(), 2);
+  EXPECT_EQ((pager_->io_stats().Snapshot() - before).pages_read_main, 1u);
 }
 
 }  // namespace

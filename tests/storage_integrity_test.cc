@@ -328,7 +328,7 @@ TEST_F(StorageIntegrityTest, DemandReadJoinsInflightPrefetch) {
   std::vector<PageId> ids;
   for (PageId id = 1; id < pager->page_count(); ++id) ids.push_back(id);
   ASSERT_FALSE(ids.empty());
-  std::unique_ptr<AsyncPrefetch> h = pager->PrefetchPagesAsync(ids, snap);
+  std::unique_ptr<AsyncPrefetch> h = pager->PrefetchPages(ids, snap);
   ASSERT_NE(h, nullptr);
   // Demand-read one of the in-flight pages before reaping the handle:
   // the read must JOIN the submitted batch (driving its reap) instead of
