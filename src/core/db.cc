@@ -36,6 +36,29 @@ Result<uint64_t> DecodeAssetValue(std::string_view v) {
   return DecodeFixed64(v.data());
 }
 
+// Applies the member-count changes of IVF partitions that lost rows in
+// this transaction (upsert-replaces move rows to the delta store, deletes
+// remove them). A partition that vanished in a rebuild is skipped.
+Status AdjustCentroidCounts(WriteTransaction* txn,
+                            const std::map<uint32_t, int64_t>& deltas,
+                            uint32_t dim) {
+  if (deltas.empty()) return Status::OK();
+  MICRONN_ASSIGN_OR_RETURN(BTree centroids, txn->OpenTable(kCentroidsTable));
+  for (const auto& [partition, delta] : deltas) {
+    MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> row,
+                             centroids.Get(key::U32(partition)));
+    if (!row.has_value()) continue;
+    CentroidRow cr;
+    MICRONN_RETURN_IF_ERROR(DecodeCentroidRow(*row, dim, &cr));
+    const int64_t count = static_cast<int64_t>(cr.count) + delta;
+    cr.count = count > 0 ? static_cast<uint64_t>(count) : 0;
+    MICRONN_RETURN_IF_ERROR(
+        centroids.Put(key::U32(partition),
+                      EncodeCentroidRow(cr.count, cr.centroid.data(), dim)));
+  }
+  return Status::OK();
+}
+
 // Holder for cached centroid sets so that cache memory is accounted for
 // the lifetime of the cached object.
 struct CentroidHolder {
@@ -86,68 +109,56 @@ Status DB::Close() {
 Status DB::InitializeSchema() {
   MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                            engine_->BeginWrite());
-  Status st = [&]() -> Status {
-    MICRONN_ASSIGN_OR_RETURN(BTree meta,
-                             txn->OpenOrCreateTable(kMetaTable));
-    MICRONN_ASSIGN_OR_RETURN(uint64_t stored_dim,
-                             MetaGetU64(&meta, kMetaDim, 0));
-    if (stored_dim == 0) {
-      if (options_.dim == 0) {
-        return Status::InvalidArgument(
-            "DbOptions::dim is required when creating a database");
-      }
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDim, options_.dim));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(
-          &meta, kMetaMetric, static_cast<uint64_t>(options_.metric)));
+  MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenOrCreateTable(kMetaTable));
+  MICRONN_ASSIGN_OR_RETURN(uint64_t stored_dim, MetaGetU64(&meta, kMetaDim, 0));
+  if (stored_dim == 0) {
+    if (options_.dim == 0) {
+      return Status::InvalidArgument(
+          "DbOptions::dim is required when creating a database");
+    }
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDim, options_.dim));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(
+        &meta, kMetaMetric, static_cast<uint64_t>(options_.metric)));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaTargetClusterSize,
+                                       options_.target_cluster_size));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNextVid, 1));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, 0));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNumPartitions, 0));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaIndexVersion, 0));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaStatsVersion, 0));
+    for (const char* table :
+         {kVectorsTable, kVidMapTable, kAssetsTable, kCentroidsTable,
+          kAttributesTable, kStatsTable, kSq8Table, kSq8ParamsTable}) {
+      MICRONN_RETURN_IF_ERROR(txn->OpenOrCreateTable(table).status());
+    }
+  } else {
+    // Databases created before the SQ8 column existed: materialize the
+    // (empty) sidecar tables so every write path can open them
+    // unconditionally. No partition has params yet, so scans stay
+    // full-precision until the next index build.
+    for (const char* table : {kSq8Table, kSq8ParamsTable}) {
+      MICRONN_RETURN_IF_ERROR(txn->OpenOrCreateTable(table).status());
+    }
+    if (options_.dim != 0 && options_.dim != stored_dim) {
+      return Status::InvalidArgument("dimension mismatch: database has dim " +
+                                     std::to_string(stored_dim));
+    }
+    options_.dim = static_cast<uint32_t>(stored_dim);
+    MICRONN_ASSIGN_OR_RETURN(
+        uint64_t metric,
+        MetaGetU64(&meta, kMetaMetric, static_cast<uint64_t>(Metric::kL2)));
+    options_.metric = static_cast<Metric>(metric);
+    // target_cluster_size is a tuning knob: a changed option wins and is
+    // persisted for the next rebuild.
+    MICRONN_ASSIGN_OR_RETURN(uint64_t stored_target,
+                             MetaGetU64(&meta, kMetaTargetClusterSize, 100));
+    if (options_.target_cluster_size != 0 &&
+        options_.target_cluster_size != stored_target) {
       MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaTargetClusterSize,
                                          options_.target_cluster_size));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNextVid, 1));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, 0));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNumPartitions, 0));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaIndexVersion, 0));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaStatsVersion, 0));
-      for (const char* table :
-           {kVectorsTable, kVidMapTable, kAssetsTable, kCentroidsTable,
-            kAttributesTable, kStatsTable, kSq8Table, kSq8ParamsTable}) {
-        MICRONN_RETURN_IF_ERROR(txn->OpenOrCreateTable(table).status());
-      }
     } else {
-      // Databases created before the SQ8 column existed: materialize the
-      // (empty) sidecar tables so every write path can open them
-      // unconditionally. No partition has params yet, so scans stay
-      // full-precision until the next index build.
-      for (const char* table : {kSq8Table, kSq8ParamsTable}) {
-        MICRONN_RETURN_IF_ERROR(txn->OpenOrCreateTable(table).status());
-      }
-      if (options_.dim != 0 && options_.dim != stored_dim) {
-        return Status::InvalidArgument(
-            "dimension mismatch: database has dim " +
-            std::to_string(stored_dim));
-      }
-      options_.dim = static_cast<uint32_t>(stored_dim);
-      MICRONN_ASSIGN_OR_RETURN(
-          uint64_t metric,
-          MetaGetU64(&meta, kMetaMetric,
-                     static_cast<uint64_t>(Metric::kL2)));
-      options_.metric = static_cast<Metric>(metric);
-      // target_cluster_size is a tuning knob: a changed option wins and is
-      // persisted for the next rebuild.
-      MICRONN_ASSIGN_OR_RETURN(
-          uint64_t stored_target,
-          MetaGetU64(&meta, kMetaTargetClusterSize, 100));
-      if (options_.target_cluster_size != 0 &&
-          options_.target_cluster_size != stored_target) {
-        MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaTargetClusterSize,
-                                           options_.target_cluster_size));
-      } else {
-        options_.target_cluster_size = static_cast<uint32_t>(stored_target);
-      }
+      options_.target_cluster_size = static_cast<uint32_t>(stored_target);
     }
-    return Status::OK();
-  }();
-  if (!st.ok()) {
-    engine_->Rollback(std::move(txn));
-    return st;
   }
   return engine_->Commit(std::move(txn));
 }
@@ -158,145 +169,120 @@ Status DB::Upsert(const std::vector<UpsertRequest>& batch) {
   MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                            engine_->BeginWrite());
   IoStats& io = engine_->io_stats();
-  Status st = [&]() -> Status {
-    MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
-    MICRONN_ASSIGN_OR_RETURN(BTree vectors, txn->OpenTable(kVectorsTable));
-    MICRONN_ASSIGN_OR_RETURN(BTree vidmap, txn->OpenTable(kVidMapTable));
-    MICRONN_ASSIGN_OR_RETURN(BTree assets, txn->OpenTable(kAssetsTable));
-    MICRONN_ASSIGN_OR_RETURN(BTree attributes,
-                             txn->OpenTable(kAttributesTable));
-    MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
-    MICRONN_ASSIGN_OR_RETURN(BTree sq8params,
-                             txn->OpenTable(kSq8ParamsTable));
-    MICRONN_ASSIGN_OR_RETURN(uint64_t next_vid,
-                             MetaGetU64(&meta, kMetaNextVid, 1));
-    MICRONN_ASSIGN_OR_RETURN(uint64_t delta_count,
-                             MetaGetU64(&meta, kMetaDeltaCount, 0));
-    // Delta-store quantization parameters (collection-global, written by
-    // the last index build). Absent before the first build: rows then get
-    // no sidecar codes and the delta store scans at full precision.
-    MICRONN_ASSIGN_OR_RETURN(
-        std::optional<Sq8PartitionParams> delta_params,
-        GetSq8Params(&sq8params, kDeltaPartition, options_.dim));
-    std::vector<uint8_t> sq8_codes(options_.dim);
-    const TableResolver resolver = MakeWriteResolver(txn.get());
-    std::map<uint32_t, int64_t> partition_deltas;
+  MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+  MICRONN_ASSIGN_OR_RETURN(BTree vectors, txn->OpenTable(kVectorsTable));
+  MICRONN_ASSIGN_OR_RETURN(BTree vidmap, txn->OpenTable(kVidMapTable));
+  MICRONN_ASSIGN_OR_RETURN(BTree assets, txn->OpenTable(kAssetsTable));
+  MICRONN_ASSIGN_OR_RETURN(BTree attributes, txn->OpenTable(kAttributesTable));
+  MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
+  MICRONN_ASSIGN_OR_RETURN(BTree sq8params, txn->OpenTable(kSq8ParamsTable));
+  MICRONN_ASSIGN_OR_RETURN(uint64_t next_vid,
+                           MetaGetU64(&meta, kMetaNextVid, 1));
+  MICRONN_ASSIGN_OR_RETURN(uint64_t delta_count,
+                           MetaGetU64(&meta, kMetaDeltaCount, 0));
+  // Delta-store quantization parameters (collection-global, written by
+  // the last index build). Absent before the first build: rows then get
+  // no sidecar codes and the delta store scans at full precision.
+  MICRONN_ASSIGN_OR_RETURN(
+      std::optional<Sq8PartitionParams> delta_params,
+      GetSq8Params(&sq8params, kDeltaPartition, options_.dim));
+  std::vector<uint8_t> sq8_codes(options_.dim);
+  const TableResolver resolver = MakeWriteResolver(txn.get());
+  std::map<uint32_t, int64_t> partition_deltas;
 
-    for (const UpsertRequest& req : batch) {
-      if (req.vector.size() != options_.dim) {
-        return Status::InvalidArgument("vector dimension mismatch for asset " +
-                                       req.asset_id);
+  for (const UpsertRequest& req : batch) {
+    if (req.vector.size() != options_.dim) {
+      return Status::InvalidArgument("vector dimension mismatch for asset " +
+                                     req.asset_id);
+    }
+    if (req.asset_id.empty()) {
+      return Status::InvalidArgument("empty asset id");
+    }
+    std::vector<float> vec = req.vector;
+    if (options_.metric == Metric::kCosine) {
+      const float n = Norm(vec.data(), vec.size());
+      if (n > 0.f) {
+        for (float& x : vec) x *= 1.0f / n;
       }
-      if (req.asset_id.empty()) {
-        return Status::InvalidArgument("empty asset id");
+    }
+    MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> existing,
+                             assets.Get(key::Str(req.asset_id)));
+    uint64_t vid;
+    if (existing.has_value()) {
+      MICRONN_ASSIGN_OR_RETURN(vid, DecodeAssetValue(*existing));
+      MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> loc,
+                               vidmap.Get(key::U64(vid)));
+      if (!loc.has_value()) {
+        return Status::Corruption("asset with no vidmap entry: " +
+                                  req.asset_id);
       }
-      std::vector<float> vec = req.vector;
-      if (options_.metric == Metric::kCosine) {
-        const float n = Norm(vec.data(), vec.size());
-        if (n > 0.f) {
-          for (float& x : vec) x *= 1.0f / n;
-        }
+      uint32_t old_partition;
+      MICRONN_RETURN_IF_ERROR(DecodeVidMapValue(*loc, &old_partition));
+      MICRONN_ASSIGN_OR_RETURN(
+          bool erased, vectors.Delete(VectorKey(old_partition, vid)));
+      if (!erased) {
+        return Status::Corruption("vector row missing for asset " +
+                                  req.asset_id);
       }
-      MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> existing,
-                               assets.Get(key::Str(req.asset_id)));
-      uint64_t vid;
-      if (existing.has_value()) {
-        MICRONN_ASSIGN_OR_RETURN(vid, DecodeAssetValue(*existing));
-        MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> loc,
-                                 vidmap.Get(key::U64(vid)));
-        if (!loc.has_value()) {
-          return Status::Corruption("asset with no vidmap entry: " +
-                                    req.asset_id);
-        }
-        uint32_t old_partition;
-        MICRONN_RETURN_IF_ERROR(DecodeVidMapValue(*loc, &old_partition));
-        MICRONN_ASSIGN_OR_RETURN(
-            bool erased, vectors.Delete(VectorKey(old_partition, vid)));
-        if (!erased) {
-          return Status::Corruption("vector row missing for asset " +
-                                    req.asset_id);
-        }
-        MICRONN_ASSIGN_OR_RETURN(bool sq8_erased,
-                                 sq8.Delete(VectorKey(old_partition, vid)));
-        if (sq8_erased) txn->AddRowDelta(kSq8Table, -1);
-        if (old_partition == kDeltaPartition) {
-          --delta_count;
-        } else {
-          --partition_deltas[old_partition];
-        }
-        // Replace attributes: unindex the old record first.
-        MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> old_attrs,
-                                 attributes.Get(key::U64(vid)));
-        if (old_attrs.has_value()) {
-          MICRONN_ASSIGN_OR_RETURN(AttributeRecord old_record,
-                                   DecodeAttributeRecord(*old_attrs));
-          MICRONN_RETURN_IF_ERROR(UnindexAttributes(
-              resolver, vid, old_record, options_.fts_columns));
-          MICRONN_ASSIGN_OR_RETURN(bool attr_erased,
-                                   attributes.Delete(key::U64(vid)));
-          (void)attr_erased;
-          txn->AddRowDelta(kAttributesTable, -1);
-        }
-        io.rows_updated.fetch_add(1, std::memory_order_relaxed);
+      MICRONN_ASSIGN_OR_RETURN(bool sq8_erased,
+                               sq8.Delete(VectorKey(old_partition, vid)));
+      if (sq8_erased) txn->AddRowDelta(kSq8Table, -1);
+      if (old_partition == kDeltaPartition) {
+        --delta_count;
       } else {
-        vid = next_vid++;
-        MICRONN_RETURN_IF_ERROR(
-            assets.Put(key::Str(req.asset_id), EncodeAssetValue(vid)));
-        txn->AddRowDelta(kAssetsTable, 1);
-        txn->AddRowDelta(kVectorsTable, 1);
-        txn->AddRowDelta(kVidMapTable, 1);
-        io.rows_inserted.fetch_add(1, std::memory_order_relaxed);
+        --partition_deltas[old_partition];
       }
-      // New/updated vectors land in the delta store (§3.6).
-      MICRONN_RETURN_IF_ERROR(vectors.Put(
-          VectorKey(kDeltaPartition, vid),
-          EncodeVectorRow(req.asset_id, vec.data(), vec.size())));
-      if (delta_params.has_value()) {
-        QuantizeSq8(vec.data(), delta_params->min.data(),
-                    delta_params->scale.data(), options_.dim,
-                    sq8_codes.data());
-        MICRONN_RETURN_IF_ERROR(
-            sq8.Put(VectorKey(kDeltaPartition, vid),
-                    EncodeSq8Row(sq8_codes.data(), options_.dim)));
-        txn->AddRowDelta(kSq8Table, 1);
+      // Replace attributes: unindex the old record first.
+      MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> old_attrs,
+                               attributes.Get(key::U64(vid)));
+      if (old_attrs.has_value()) {
+        MICRONN_ASSIGN_OR_RETURN(AttributeRecord old_record,
+                                 DecodeAttributeRecord(*old_attrs));
+        MICRONN_RETURN_IF_ERROR(UnindexAttributes(
+            resolver, vid, old_record, options_.fts_columns));
+        MICRONN_ASSIGN_OR_RETURN(bool attr_erased,
+                                 attributes.Delete(key::U64(vid)));
+        (void)attr_erased;
+        txn->AddRowDelta(kAttributesTable, -1);
       }
-      MICRONN_RETURN_IF_ERROR(vidmap.Put(
-          key::U64(vid), EncodeVidMapValue(kDeltaPartition)));
-      ++delta_count;
-      if (!req.attributes.empty()) {
-        MICRONN_RETURN_IF_ERROR(attributes.Put(
-            key::U64(vid), EncodeAttributeRecord(req.attributes)));
-        txn->AddRowDelta(kAttributesTable, 1);
-        MICRONN_RETURN_IF_ERROR(IndexAttributes(resolver, vid, req.attributes,
-                                                options_.fts_columns));
-      }
+      io.rows_updated.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      vid = next_vid++;
+      MICRONN_RETURN_IF_ERROR(
+          assets.Put(key::Str(req.asset_id), EncodeAssetValue(vid)));
+      txn->AddRowDelta(kAssetsTable, 1);
+      txn->AddRowDelta(kVectorsTable, 1);
+      txn->AddRowDelta(kVidMapTable, 1);
+      io.rows_inserted.fetch_add(1, std::memory_order_relaxed);
     }
-    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNextVid, next_vid));
-    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, delta_count));
-    // Adjust counts of partitions that lost vectors to upsert-replaces.
-    if (!partition_deltas.empty()) {
-      MICRONN_ASSIGN_OR_RETURN(BTree centroids,
-                               txn->OpenTable(kCentroidsTable));
-      for (const auto& [partition, delta] : partition_deltas) {
-        if (delta == 0) continue;
-        MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> row,
-                                 centroids.Get(key::U32(partition)));
-        if (!row.has_value()) continue;  // partition vanished in a rebuild
-        CentroidRow cr;
-        MICRONN_RETURN_IF_ERROR(DecodeCentroidRow(*row, options_.dim, &cr));
-        const int64_t count = static_cast<int64_t>(cr.count) + delta;
-        cr.count = count > 0 ? static_cast<uint64_t>(count) : 0;
-        MICRONN_RETURN_IF_ERROR(centroids.Put(
-            key::U32(partition),
-            EncodeCentroidRow(cr.count, cr.centroid.data(), options_.dim)));
-      }
+    // New/updated vectors land in the delta store (§3.6).
+    MICRONN_RETURN_IF_ERROR(vectors.Put(
+        VectorKey(kDeltaPartition, vid),
+        EncodeVectorRow(req.asset_id, vec.data(), vec.size())));
+    if (delta_params.has_value()) {
+      QuantizeSq8(vec.data(), delta_params->min.data(),
+                  delta_params->scale.data(), options_.dim,
+                  sq8_codes.data());
+      MICRONN_RETURN_IF_ERROR(
+          sq8.Put(VectorKey(kDeltaPartition, vid),
+                  EncodeSq8Row(sq8_codes.data(), options_.dim)));
+      txn->AddRowDelta(kSq8Table, 1);
     }
-    return Status::OK();
-  }();
-  if (!st.ok()) {
-    engine_->Rollback(std::move(txn));
-    return st;
+    MICRONN_RETURN_IF_ERROR(vidmap.Put(
+        key::U64(vid), EncodeVidMapValue(kDeltaPartition)));
+    ++delta_count;
+    if (!req.attributes.empty()) {
+      MICRONN_RETURN_IF_ERROR(attributes.Put(
+          key::U64(vid), EncodeAttributeRecord(req.attributes)));
+      txn->AddRowDelta(kAttributesTable, 1);
+      MICRONN_RETURN_IF_ERROR(IndexAttributes(resolver, vid, req.attributes,
+                                              options_.fts_columns));
+    }
   }
+  MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNextVid, next_vid));
+  MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, delta_count));
+  MICRONN_RETURN_IF_ERROR(
+      AdjustCentroidCounts(txn.get(), partition_deltas, options_.dim));
   return engine_->Commit(std::move(txn));
 }
 
@@ -306,85 +292,62 @@ Status DB::Delete(const std::vector<std::string>& asset_ids) {
   MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                            engine_->BeginWrite());
   IoStats& io = engine_->io_stats();
-  Status st = [&]() -> Status {
-    MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
-    MICRONN_ASSIGN_OR_RETURN(BTree vectors, txn->OpenTable(kVectorsTable));
-    MICRONN_ASSIGN_OR_RETURN(BTree vidmap, txn->OpenTable(kVidMapTable));
-    MICRONN_ASSIGN_OR_RETURN(BTree assets, txn->OpenTable(kAssetsTable));
-    MICRONN_ASSIGN_OR_RETURN(BTree attributes,
-                             txn->OpenTable(kAttributesTable));
-    MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
-    MICRONN_ASSIGN_OR_RETURN(uint64_t delta_count,
-                             MetaGetU64(&meta, kMetaDeltaCount, 0));
-    const TableResolver resolver = MakeWriteResolver(txn.get());
-    std::map<uint32_t, int64_t> partition_deltas;
+  MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+  MICRONN_ASSIGN_OR_RETURN(BTree vectors, txn->OpenTable(kVectorsTable));
+  MICRONN_ASSIGN_OR_RETURN(BTree vidmap, txn->OpenTable(kVidMapTable));
+  MICRONN_ASSIGN_OR_RETURN(BTree assets, txn->OpenTable(kAssetsTable));
+  MICRONN_ASSIGN_OR_RETURN(BTree attributes, txn->OpenTable(kAttributesTable));
+  MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
+  MICRONN_ASSIGN_OR_RETURN(uint64_t delta_count,
+                           MetaGetU64(&meta, kMetaDeltaCount, 0));
+  const TableResolver resolver = MakeWriteResolver(txn.get());
+  std::map<uint32_t, int64_t> partition_deltas;
 
-    for (const std::string& asset_id : asset_ids) {
-      MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> existing,
-                               assets.Get(key::Str(asset_id)));
-      if (!existing.has_value()) continue;  // missing ids are ignored
-      MICRONN_ASSIGN_OR_RETURN(uint64_t vid, DecodeAssetValue(*existing));
-      MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> loc,
-                               vidmap.Get(key::U64(vid)));
-      if (loc.has_value()) {
-        uint32_t partition;
-        MICRONN_RETURN_IF_ERROR(DecodeVidMapValue(*loc, &partition));
-        MICRONN_ASSIGN_OR_RETURN(bool erased,
-                                 vectors.Delete(VectorKey(partition, vid)));
-        MICRONN_ASSIGN_OR_RETURN(bool sq8_erased,
-                                 sq8.Delete(VectorKey(partition, vid)));
-        if (sq8_erased) txn->AddRowDelta(kSq8Table, -1);
-        if (erased) {
-          txn->AddRowDelta(kVectorsTable, -1);
-          if (partition == kDeltaPartition) {
-            --delta_count;
-          } else {
-            --partition_deltas[partition];
-          }
+  for (const std::string& asset_id : asset_ids) {
+    MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> existing,
+                             assets.Get(key::Str(asset_id)));
+    if (!existing.has_value()) continue;  // missing ids are ignored
+    MICRONN_ASSIGN_OR_RETURN(uint64_t vid, DecodeAssetValue(*existing));
+    MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> loc,
+                             vidmap.Get(key::U64(vid)));
+    if (loc.has_value()) {
+      uint32_t partition;
+      MICRONN_RETURN_IF_ERROR(DecodeVidMapValue(*loc, &partition));
+      MICRONN_ASSIGN_OR_RETURN(bool erased,
+                               vectors.Delete(VectorKey(partition, vid)));
+      MICRONN_ASSIGN_OR_RETURN(bool sq8_erased,
+                               sq8.Delete(VectorKey(partition, vid)));
+      if (sq8_erased) txn->AddRowDelta(kSq8Table, -1);
+      if (erased) {
+        txn->AddRowDelta(kVectorsTable, -1);
+        if (partition == kDeltaPartition) {
+          --delta_count;
+        } else {
+          --partition_deltas[partition];
         }
-        MICRONN_ASSIGN_OR_RETURN(bool vm_erased,
-                                 vidmap.Delete(key::U64(vid)));
-        if (vm_erased) txn->AddRowDelta(kVidMapTable, -1);
       }
-      MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> attrs,
-                               attributes.Get(key::U64(vid)));
-      if (attrs.has_value()) {
-        MICRONN_ASSIGN_OR_RETURN(AttributeRecord record,
-                                 DecodeAttributeRecord(*attrs));
-        MICRONN_RETURN_IF_ERROR(
-            UnindexAttributes(resolver, vid, record, options_.fts_columns));
-        MICRONN_ASSIGN_OR_RETURN(bool attr_erased,
-                                 attributes.Delete(key::U64(vid)));
-        if (attr_erased) txn->AddRowDelta(kAttributesTable, -1);
-      }
-      MICRONN_ASSIGN_OR_RETURN(bool asset_erased,
-                               assets.Delete(key::Str(asset_id)));
-      if (asset_erased) txn->AddRowDelta(kAssetsTable, -1);
-      io.rows_deleted.fetch_add(1, std::memory_order_relaxed);
+      MICRONN_ASSIGN_OR_RETURN(bool vm_erased, vidmap.Delete(key::U64(vid)));
+      if (vm_erased) txn->AddRowDelta(kVidMapTable, -1);
     }
-    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, delta_count));
-    if (!partition_deltas.empty()) {
-      MICRONN_ASSIGN_OR_RETURN(BTree centroids,
-                               txn->OpenTable(kCentroidsTable));
-      for (const auto& [partition, delta] : partition_deltas) {
-        MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> row,
-                                 centroids.Get(key::U32(partition)));
-        if (!row.has_value()) continue;
-        CentroidRow cr;
-        MICRONN_RETURN_IF_ERROR(DecodeCentroidRow(*row, options_.dim, &cr));
-        const int64_t count = static_cast<int64_t>(cr.count) + delta;
-        cr.count = count > 0 ? static_cast<uint64_t>(count) : 0;
-        MICRONN_RETURN_IF_ERROR(centroids.Put(
-            key::U32(partition),
-            EncodeCentroidRow(cr.count, cr.centroid.data(), options_.dim)));
-      }
+    MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> attrs,
+                             attributes.Get(key::U64(vid)));
+    if (attrs.has_value()) {
+      MICRONN_ASSIGN_OR_RETURN(AttributeRecord record,
+                               DecodeAttributeRecord(*attrs));
+      MICRONN_RETURN_IF_ERROR(
+          UnindexAttributes(resolver, vid, record, options_.fts_columns));
+      MICRONN_ASSIGN_OR_RETURN(bool attr_erased,
+                               attributes.Delete(key::U64(vid)));
+      if (attr_erased) txn->AddRowDelta(kAttributesTable, -1);
     }
-    return Status::OK();
-  }();
-  if (!st.ok()) {
-    engine_->Rollback(std::move(txn));
-    return st;
+    MICRONN_ASSIGN_OR_RETURN(bool asset_erased,
+                             assets.Delete(key::Str(asset_id)));
+    if (asset_erased) txn->AddRowDelta(kAssetsTable, -1);
+    io.rows_deleted.fetch_add(1, std::memory_order_relaxed);
   }
+  MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, delta_count));
+  MICRONN_RETURN_IF_ERROR(
+      AdjustCentroidCounts(txn.get(), partition_deltas, options_.dim));
   return engine_->Commit(std::move(txn));
 }
 

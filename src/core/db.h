@@ -168,6 +168,9 @@ class DB {
   Result<MaintenanceReport> MaintainLocked();
   Status AnalyzeStatsLocked();
   Status DropTableChunked(const std::string& name);
+  // Drops the staging and retired generation tables an interrupted
+  // rebuild left behind; returns whether there were any.
+  Result<bool> DropRebuildLeftovers();
 
   DbOptions options_;
   std::unique_ptr<StorageEngine> engine_;

@@ -95,6 +95,15 @@ class DiskVectorSampler : public VectorSampler {
   Rng rng_;
 };
 
+// Rows per rebuild / delta-flush chunk. Bounded by bytes as well as rows:
+// at high dimensionality a row-count cap alone would let the writer's
+// working set balloon.
+size_t ChunkRows(size_t rebuild_chunk_rows, uint32_t dim) {
+  const size_t row_bytes = size_t{dim} * sizeof(float) + 64;
+  return std::clamp<size_t>(rebuild_chunk_rows, 64,
+                            std::max<size_t>(64, (2ull << 20) / row_bytes));
+}
+
 // One decoded chunk of the vectors table (rebuild / delta-flush unit).
 struct RowChunk {
   std::vector<uint64_t> vids;
@@ -102,58 +111,86 @@ struct RowChunk {
   std::vector<float> block;  // rows * dim
 
   size_t size() const { return vids.size(); }
-  void clear() {
+
+  // Replaces the chunk with up to `max_rows` rows read from `cursor`,
+  // stopping early at the end of the table or at the first key that does
+  // not start with `prefix`.
+  Status Load(BTreeCursor* cursor, std::string_view prefix, size_t max_rows,
+              uint32_t dim) {
     vids.clear();
     assets.clear();
     block.clear();
+    while (cursor->Valid() && size() < max_rows &&
+           cursor->key().substr(0, prefix.size()) == prefix) {
+      uint32_t partition;
+      uint64_t vid;
+      MICRONN_RETURN_IF_ERROR(ParseVectorKey(cursor->key(), &partition, &vid));
+      MICRONN_ASSIGN_OR_RETURN(std::string value, cursor->value());
+      VectorRow vr;
+      MICRONN_RETURN_IF_ERROR(DecodeVectorRow(value, dim, &vr));
+      vids.push_back(vid);
+      assets.push_back(std::move(vr.asset_id));
+      const size_t off = block.size();
+      block.resize(off + dim);
+      std::memcpy(block.data() + off, vr.vector_blob.data(),
+                  dim * sizeof(float));
+      MICRONN_RETURN_IF_ERROR(cursor->Next());
+    }
+    return Status::OK();
   }
 };
 
 }  // namespace
 
 Status DB::RecoverInterruptedRebuild() {
-  bool staging = false;
-  bool cleanup = false;
+  MICRONN_ASSIGN_OR_RETURN(bool dropped, DropRebuildLeftovers());
+  bool flagged = false;
   {
-    MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
-                             engine_->BeginWrite());
-    Result<bool> has_new = txn->TableExists(kVectorsNewTable);
-    Result<bool> has_old = txn->TableExists(kVectorsOldTable);
-    engine_->Rollback(std::move(txn));
-    MICRONN_RETURN_IF_ERROR(has_new.status());
-    MICRONN_RETURN_IF_ERROR(has_old.status());
-    staging = *has_new;
-    cleanup = *has_old;
+    MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<ReadTransaction> txn,
+                             engine_->BeginRead());
+    MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+    MICRONN_ASSIGN_OR_RETURN(uint64_t in_progress,
+                             MetaGetU64(&meta, kMetaRebuildInProgress, 0));
+    MICRONN_ASSIGN_OR_RETURN(uint64_t pending,
+                             MetaGetU64(&meta, kMetaCleanupPending, 0));
+    flagged = in_progress != 0 || pending != 0;
   }
-  if (staging) {
-    MICRONN_LOG(kWarn) << "discarding staging tables from an interrupted "
-                          "index rebuild";
-    MICRONN_RETURN_IF_ERROR(DropTableChunked(kVectorsNewTable));
-    MICRONN_RETURN_IF_ERROR(DropTableChunked(kVidMapNewTable));
-    MICRONN_RETURN_IF_ERROR(DropTableChunked(kSq8NewTable));
-    MICRONN_RETURN_IF_ERROR(DropTableChunked(kSq8ParamsNewTable));
-  }
-  if (cleanup) {
-    MICRONN_RETURN_IF_ERROR(DropTableChunked(kVectorsOldTable));
-    MICRONN_RETURN_IF_ERROR(DropTableChunked(kVidMapOldTable));
-    MICRONN_RETURN_IF_ERROR(DropTableChunked(kSq8OldTable));
-    MICRONN_RETURN_IF_ERROR(DropTableChunked(kSq8ParamsOldTable));
-  }
-  if (staging || cleanup) {
-    MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
-                             engine_->BeginWrite());
-    Status st = [&]() -> Status {
-      MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaRebuildInProgress, 0));
-      return MetaPutU64(&meta, kMetaCleanupPending, 0);
-    }();
-    if (!st.ok()) {
-      engine_->Rollback(std::move(txn));
-      return st;
+  if (!dropped && !flagged) return Status::OK();
+  // The flags only describe the interruption; the tables are gone now.
+  MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
+                           engine_->BeginWrite());
+  MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+  MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaRebuildInProgress, 0));
+  MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaCleanupPending, 0));
+  return engine_->Commit(std::move(txn));
+}
+
+Result<bool> DB::DropRebuildLeftovers() {
+  // Staging tables first (the live index never saw them), then the
+  // generation a swap retired.
+  std::vector<const char*> leftovers;
+  {
+    MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<ReadTransaction> txn,
+                             engine_->BeginRead());
+    for (const char* GenerationTable::*name :
+         {&GenerationTable::staging, &GenerationTable::retired}) {
+      for (const GenerationTable& t : kGenerationTables) {
+        Result<TableInfo> info = txn->GetTableInfo(t.*name);
+        if (info.ok()) {
+          leftovers.push_back(t.*name);
+        } else if (!info.status().IsNotFound()) {
+          return info.status();
+        }
+      }
     }
-    MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
   }
-  return Status::OK();
+  if (leftovers.empty()) return false;
+  MICRONN_LOG(kWarn) << "dropping " << leftovers.size()
+                     << " tables left by an interrupted index rebuild";
+  for (const char* name : leftovers) {
+    MICRONN_RETURN_IF_ERROR(DropTableChunked(name));
+  }
+  return true;
 }
 
 Status DB::DropTableChunked(const std::string& name) {
@@ -161,35 +198,25 @@ Status DB::DropTableChunked(const std::string& name) {
     MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                              engine_->BeginWrite());
     Result<BTree> table = txn->OpenTable(name);
-    if (!table.ok()) {
-      engine_->Rollback(std::move(txn));
-      if (table.status().IsNotFound()) return Status::OK();
-      return table.status();
-    }
+    if (table.status().IsNotFound()) return Status::OK();
+    MICRONN_RETURN_IF_ERROR(table.status());
     std::vector<std::string> keys;
-    Status st = [&]() -> Status {
-      BTreeCursor c = table->NewCursor();
-      MICRONN_RETURN_IF_ERROR(c.SeekToFirst());
-      while (c.Valid() && keys.size() < options_.rebuild_chunk_rows) {
-        keys.emplace_back(c.key());
-        MICRONN_RETURN_IF_ERROR(c.Next());
-      }
-      if (keys.empty()) {
-        return txn->DropTable(name);
-      }
-      for (const std::string& k : keys) {
-        MICRONN_ASSIGN_OR_RETURN(bool erased, table->Delete(k));
-        (void)erased;
-      }
-      txn->AddRowDelta(name, -static_cast<int64_t>(keys.size()));
-      return Status::OK();
-    }();
-    if (!st.ok()) {
-      engine_->Rollback(std::move(txn));
-      return st;
+    BTreeCursor c = table->NewCursor();
+    MICRONN_RETURN_IF_ERROR(c.SeekToFirst());
+    while (c.Valid() && keys.size() < options_.rebuild_chunk_rows) {
+      keys.emplace_back(c.key());
+      MICRONN_RETURN_IF_ERROR(c.Next());
     }
+    if (keys.empty()) {
+      MICRONN_RETURN_IF_ERROR(txn->DropTable(name));
+      return engine_->Commit(std::move(txn));
+    }
+    for (const std::string& k : keys) {
+      MICRONN_ASSIGN_OR_RETURN(bool erased, table->Delete(k));
+      (void)erased;
+    }
+    txn->AddRowDelta(name, -static_cast<int64_t>(keys.size()));
     MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
-    if (keys.empty()) return Status::OK();  // table dropped
   }
 }
 
@@ -202,27 +229,16 @@ Status DB::BuildIndexLocked() {
   const uint32_t dim = options_.dim;
   IoStats& io = engine_->io_stats();
 
-  // Phase 0: clear leftovers and mark the rebuild.
-  MICRONN_RETURN_IF_ERROR(DropTableChunked(kVectorsNewTable));
-  MICRONN_RETURN_IF_ERROR(DropTableChunked(kVidMapNewTable));
-  MICRONN_RETURN_IF_ERROR(DropTableChunked(kSq8NewTable));
-  MICRONN_RETURN_IF_ERROR(DropTableChunked(kSq8ParamsNewTable));
+  // Phase 0: clear leftovers, mark the rebuild and create the staging
+  // tables.
+  MICRONN_RETURN_IF_ERROR(DropRebuildLeftovers().status());
   {
     MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                              engine_->BeginWrite());
-    Status st = [&]() -> Status {
-      MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaRebuildInProgress, 1));
-      MICRONN_RETURN_IF_ERROR(
-          txn->OpenOrCreateTable(kVectorsNewTable).status());
-      MICRONN_RETURN_IF_ERROR(txn->OpenOrCreateTable(kSq8NewTable).status());
-      MICRONN_RETURN_IF_ERROR(
-          txn->OpenOrCreateTable(kSq8ParamsNewTable).status());
-      return txn->OpenOrCreateTable(kVidMapNewTable).status();
-    }();
-    if (!st.ok()) {
-      engine_->Rollback(std::move(txn));
-      return st;
+    MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaRebuildInProgress, 1));
+    for (const GenerationTable& t : kGenerationTables) {
+      MICRONN_RETURN_IF_ERROR(txn->OpenOrCreateTable(t.staging).status());
     }
     MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
   }
@@ -246,36 +262,24 @@ Status DB::BuildIndexLocked() {
     snapshot.reset();
     MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                              engine_->BeginWrite());
-    Status st = [&]() -> Status {
-      MICRONN_ASSIGN_OR_RETURN(BTree centroids,
-                               txn->OpenTable(kCentroidsTable));
-      MICRONN_RETURN_IF_ERROR(centroids.Clear());
-      MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
-      MICRONN_RETURN_IF_ERROR(sq8.Clear());
-      MICRONN_ASSIGN_OR_RETURN(TableInfo sq8_info,
-                               txn->GetTableInfo(kSq8Table));
-      txn->AddRowDelta(kSq8Table,
-                       -static_cast<int64_t>(sq8_info.row_count));
-      MICRONN_ASSIGN_OR_RETURN(BTree sq8params,
-                               txn->OpenTable(kSq8ParamsTable));
-      MICRONN_RETURN_IF_ERROR(sq8params.Clear());
-      MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNumPartitions, 0));
-      MICRONN_RETURN_IF_ERROR(MetaPutF64(&meta, kMetaBaseAvgPartition, 0.0));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, 0));
-      MICRONN_ASSIGN_OR_RETURN(uint64_t version,
-                               MetaGetU64(&meta, kMetaIndexVersion, 0));
-      MICRONN_RETURN_IF_ERROR(
-          MetaPutU64(&meta, kMetaIndexVersion, version + 1));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaRebuildInProgress, 0));
-      MICRONN_RETURN_IF_ERROR(txn->DropTable(kVectorsNewTable));
-      MICRONN_RETURN_IF_ERROR(txn->DropTable(kSq8NewTable));
-      MICRONN_RETURN_IF_ERROR(txn->DropTable(kSq8ParamsNewTable));
-      return txn->DropTable(kVidMapNewTable);
-    }();
-    if (!st.ok()) {
-      engine_->Rollback(std::move(txn));
-      return st;
+    MICRONN_ASSIGN_OR_RETURN(BTree centroids, txn->OpenTable(kCentroidsTable));
+    MICRONN_RETURN_IF_ERROR(centroids.Clear());
+    MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
+    MICRONN_RETURN_IF_ERROR(sq8.Clear());
+    MICRONN_ASSIGN_OR_RETURN(TableInfo sq8_info, txn->GetTableInfo(kSq8Table));
+    txn->AddRowDelta(kSq8Table, -static_cast<int64_t>(sq8_info.row_count));
+    MICRONN_ASSIGN_OR_RETURN(BTree sq8params, txn->OpenTable(kSq8ParamsTable));
+    MICRONN_RETURN_IF_ERROR(sq8params.Clear());
+    MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNumPartitions, 0));
+    MICRONN_RETURN_IF_ERROR(MetaPutF64(&meta, kMetaBaseAvgPartition, 0.0));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, 0));
+    MICRONN_ASSIGN_OR_RETURN(uint64_t version,
+                             MetaGetU64(&meta, kMetaIndexVersion, 0));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaIndexVersion, version + 1));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaRebuildInProgress, 0));
+    for (const GenerationTable& t : kGenerationTables) {
+      MICRONN_RETURN_IF_ERROR(txn->DropTable(t.staging));
     }
     return engine_->Commit(std::move(txn));
   }
@@ -300,12 +304,7 @@ Status DB::BuildIndexLocked() {
   // Phase 3: stream the snapshot through chunks: assign -> write staging.
   std::vector<uint64_t> counts(k, 0);
   {
-    // Bound the chunk by bytes as well as rows: at high dimensionality a
-    // row-count cap alone would let the writer's working set balloon.
-    const size_t row_bytes = size_t{dim} * sizeof(float) + 64;
-    const size_t chunk_rows = std::clamp<size_t>(
-        options_.rebuild_chunk_rows, 64,
-        std::max<size_t>(64, (2ull << 20) / row_bytes));
+    const size_t chunk_rows = ChunkRows(options_.rebuild_chunk_rows, dim);
     ScopedMemoryReservation mem(
         MemoryCategory::kClustering,
         chunk_rows * (dim * sizeof(float) + 64) + k * sizeof(uint64_t));
@@ -313,57 +312,28 @@ Status DB::BuildIndexLocked() {
     std::vector<uint32_t> assign;
     BTreeCursor cursor = snap_vectors.NewCursor();
     MICRONN_RETURN_IF_ERROR(cursor.SeekToFirst());
-    bool more = cursor.Valid();
-    while (more) {
-      chunk.clear();
-      while (cursor.Valid() && chunk.size() < chunk_rows) {
-        uint32_t partition;
-        uint64_t vid;
-        MICRONN_RETURN_IF_ERROR(
-            ParseVectorKey(cursor.key(), &partition, &vid));
-        MICRONN_ASSIGN_OR_RETURN(std::string value, cursor.value());
-        VectorRow vr;
-        MICRONN_RETURN_IF_ERROR(DecodeVectorRow(value, dim, &vr));
-        chunk.vids.push_back(vid);
-        chunk.assets.push_back(std::move(vr.asset_id));
-        const size_t off = chunk.block.size();
-        chunk.block.resize(off + dim);
-        std::memcpy(chunk.block.data() + off, vr.vector_blob.data(),
-                    dim * sizeof(float));
-        MICRONN_RETURN_IF_ERROR(cursor.Next());
-      }
-      more = cursor.Valid();
+    for (;;) {
+      MICRONN_RETURN_IF_ERROR(chunk.Load(&cursor, "", chunk_rows, dim));
       if (chunk.size() == 0) break;
       AssignBlock(centroids, chunk.block.data(), chunk.size(), &assign);
 
       MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                                engine_->BeginWrite());
-      Status st = [&]() -> Status {
-        MICRONN_ASSIGN_OR_RETURN(BTree vnew,
-                                 txn->OpenTable(kVectorsNewTable));
-        MICRONN_ASSIGN_OR_RETURN(BTree mnew, txn->OpenTable(kVidMapNewTable));
-        for (size_t i = 0; i < chunk.size(); ++i) {
-          const uint32_t partition = assign[i] + kFirstPartition;
-          ++counts[assign[i]];
-          MICRONN_RETURN_IF_ERROR(
-              vnew.Put(VectorKey(partition, chunk.vids[i]),
-                       EncodeVectorRow(chunk.assets[i],
-                                       chunk.block.data() + i * dim, dim)));
-          MICRONN_RETURN_IF_ERROR(mnew.Put(key::U64(chunk.vids[i]),
-                                           EncodeVidMapValue(partition)));
-        }
-        txn->AddRowDelta(kVectorsNewTable,
-                         static_cast<int64_t>(chunk.size()));
-        txn->AddRowDelta(kVidMapNewTable,
-                         static_cast<int64_t>(chunk.size()));
-        io.rows_inserted.fetch_add(2 * chunk.size(),
-                                   std::memory_order_relaxed);
-        return Status::OK();
-      }();
-      if (!st.ok()) {
-        engine_->Rollback(std::move(txn));
-        return st;
+      MICRONN_ASSIGN_OR_RETURN(BTree vnew, txn->OpenTable(kVectorsNewTable));
+      MICRONN_ASSIGN_OR_RETURN(BTree mnew, txn->OpenTable(kVidMapNewTable));
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        const uint32_t partition = assign[i] + kFirstPartition;
+        ++counts[assign[i]];
+        MICRONN_RETURN_IF_ERROR(
+            vnew.Put(VectorKey(partition, chunk.vids[i]),
+                     EncodeVectorRow(chunk.assets[i],
+                                     chunk.block.data() + i * dim, dim)));
+        MICRONN_RETURN_IF_ERROR(
+            mnew.Put(key::U64(chunk.vids[i]), EncodeVidMapValue(partition)));
       }
+      txn->AddRowDelta(kVectorsNewTable, static_cast<int64_t>(chunk.size()));
+      txn->AddRowDelta(kVidMapNewTable, static_cast<int64_t>(chunk.size()));
+      io.rows_inserted.fetch_add(2 * chunk.size(), std::memory_order_relaxed);
       MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
     }
   }
@@ -394,44 +364,28 @@ Status DB::BuildIndexLocked() {
     while (next < partitions.size()) {
       MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                                engine_->BeginWrite());
-      Status st = [&]() -> Status {
-        MICRONN_ASSIGN_OR_RETURN(BTree vnew,
-                                 txn->OpenTable(kVectorsNewTable));
-        MICRONN_ASSIGN_OR_RETURN(BTree snew, txn->OpenTable(kSq8NewTable));
-        MICRONN_ASSIGN_OR_RETURN(BTree pnew,
-                                 txn->OpenTable(kSq8ParamsNewTable));
-        uint64_t rows_this_txn = 0;
-        while (next < partitions.size() && rows_this_txn < sq8_chunk_rows) {
-          MICRONN_ASSIGN_OR_RETURN(
-              uint64_t rows,
-              RequantizePartition(vnew, snew, pnew, partitions[next], dim,
-                                  &global));
-          rows_this_txn += rows;
-          txn->AddRowDelta(kSq8NewTable, static_cast<int64_t>(rows));
-          ++next;
-        }
-        io.rows_inserted.fetch_add(rows_this_txn, std::memory_order_relaxed);
-        return Status::OK();
-      }();
-      if (!st.ok()) {
-        engine_->Rollback(std::move(txn));
-        return st;
+      MICRONN_ASSIGN_OR_RETURN(BTree vnew, txn->OpenTable(kVectorsNewTable));
+      MICRONN_ASSIGN_OR_RETURN(BTree snew, txn->OpenTable(kSq8NewTable));
+      MICRONN_ASSIGN_OR_RETURN(BTree pnew, txn->OpenTable(kSq8ParamsNewTable));
+      uint64_t rows_this_txn = 0;
+      while (next < partitions.size() && rows_this_txn < sq8_chunk_rows) {
+        MICRONN_ASSIGN_OR_RETURN(
+            uint64_t rows, RequantizePartition(vnew, snew, pnew,
+                                               partitions[next], dim, &global));
+        rows_this_txn += rows;
+        txn->AddRowDelta(kSq8NewTable, static_cast<int64_t>(rows));
+        ++next;
       }
+      io.rows_inserted.fetch_add(rows_this_txn, std::memory_order_relaxed);
       MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
     }
     if (global.any) {
       MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                                engine_->BeginWrite());
-      Status st = [&]() -> Status {
-        MICRONN_ASSIGN_OR_RETURN(BTree pnew,
-                                 txn->OpenTable(kSq8ParamsNewTable));
-        return pnew.Put(key::U32(kDeltaPartition),
-                        EncodeSq8Params(FinalizeSq8Params(global)));
-      }();
-      if (!st.ok()) {
-        engine_->Rollback(std::move(txn));
-        return st;
-      }
+      MICRONN_ASSIGN_OR_RETURN(BTree pnew, txn->OpenTable(kSq8ParamsNewTable));
+      MICRONN_RETURN_IF_ERROR(
+          pnew.Put(key::U32(kDeltaPartition),
+                   EncodeSq8Params(FinalizeSq8Params(global))));
       MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
     }
   }
@@ -441,65 +395,43 @@ Status DB::BuildIndexLocked() {
   {
     MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                              engine_->BeginWrite());
-    Status st = [&]() -> Status {
-      MICRONN_ASSIGN_OR_RETURN(BTree ctable, txn->OpenTable(kCentroidsTable));
-      MICRONN_RETURN_IF_ERROR(ctable.Clear());
-      for (uint32_t j = 0; j < k; ++j) {
-        MICRONN_RETURN_IF_ERROR(
-            ctable.Put(key::U32(j + kFirstPartition),
-                       EncodeCentroidRow(counts[j], centroids.row(j), dim)));
-      }
-      io.rows_updated.fetch_add(k, std::memory_order_relaxed);
-      MICRONN_RETURN_IF_ERROR(txn->RenameTable(kVectorsTable,
-                                               kVectorsOldTable));
-      MICRONN_RETURN_IF_ERROR(txn->RenameTable(kVidMapTable,
-                                               kVidMapOldTable));
-      MICRONN_RETURN_IF_ERROR(txn->RenameTable(kSq8Table, kSq8OldTable));
+    MICRONN_ASSIGN_OR_RETURN(BTree ctable, txn->OpenTable(kCentroidsTable));
+    MICRONN_RETURN_IF_ERROR(ctable.Clear());
+    for (uint32_t j = 0; j < k; ++j) {
       MICRONN_RETURN_IF_ERROR(
-          txn->RenameTable(kSq8ParamsTable, kSq8ParamsOldTable));
-      MICRONN_RETURN_IF_ERROR(txn->RenameTable(kVectorsNewTable,
-                                               kVectorsTable));
-      MICRONN_RETURN_IF_ERROR(txn->RenameTable(kVidMapNewTable,
-                                               kVidMapTable));
-      MICRONN_RETURN_IF_ERROR(txn->RenameTable(kSq8NewTable, kSq8Table));
-      MICRONN_RETURN_IF_ERROR(
-          txn->RenameTable(kSq8ParamsNewTable, kSq8ParamsTable));
-      MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNumPartitions, k));
-      MICRONN_RETURN_IF_ERROR(MetaPutF64(
-          &meta, kMetaBaseAvgPartition,
-          static_cast<double>(n_rows) / static_cast<double>(k)));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, 0));
-      MICRONN_ASSIGN_OR_RETURN(uint64_t version,
-                               MetaGetU64(&meta, kMetaIndexVersion, 0));
-      MICRONN_RETURN_IF_ERROR(
-          MetaPutU64(&meta, kMetaIndexVersion, version + 1));
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaRebuildInProgress, 0));
-      return MetaPutU64(&meta, kMetaCleanupPending, 1);
-    }();
-    if (!st.ok()) {
-      engine_->Rollback(std::move(txn));
-      return st;
+          ctable.Put(key::U32(j + kFirstPartition),
+                     EncodeCentroidRow(counts[j], centroids.row(j), dim)));
     }
+    io.rows_updated.fetch_add(k, std::memory_order_relaxed);
+    for (const GenerationTable& t : kGenerationTables) {
+      MICRONN_RETURN_IF_ERROR(txn->RenameTable(t.live, t.retired));
+    }
+    for (const GenerationTable& t : kGenerationTables) {
+      MICRONN_RETURN_IF_ERROR(txn->RenameTable(t.staging, t.live));
+    }
+    MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNumPartitions, k));
+    MICRONN_RETURN_IF_ERROR(MetaPutF64(
+        &meta, kMetaBaseAvgPartition,
+        static_cast<double>(n_rows) / static_cast<double>(k)));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, 0));
+    MICRONN_ASSIGN_OR_RETURN(uint64_t version,
+                             MetaGetU64(&meta, kMetaIndexVersion, 0));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaIndexVersion, version + 1));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaRebuildInProgress, 0));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaCleanupPending, 1));
     MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
   }
 
   // Phase 5: chunked cleanup of the previous generation.
-  MICRONN_RETURN_IF_ERROR(DropTableChunked(kVectorsOldTable));
-  MICRONN_RETURN_IF_ERROR(DropTableChunked(kVidMapOldTable));
-  MICRONN_RETURN_IF_ERROR(DropTableChunked(kSq8OldTable));
-  MICRONN_RETURN_IF_ERROR(DropTableChunked(kSq8ParamsOldTable));
+  for (const GenerationTable& t : kGenerationTables) {
+    MICRONN_RETURN_IF_ERROR(DropTableChunked(t.retired));
+  }
   {
     MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                              engine_->BeginWrite());
-    Status st = [&]() -> Status {
-      MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
-      return MetaPutU64(&meta, kMetaCleanupPending, 0);
-    }();
-    if (!st.ok()) {
-      engine_->Rollback(std::move(txn));
-      return st;
-    }
+    MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaCleanupPending, 0));
     MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
   }
 
@@ -559,10 +491,7 @@ Result<MaintenanceReport> DB::MaintainLocked() {
   // chunks, accumulating per-partition sums for the centroid update.
   IoStats& io = engine_->io_stats();
   std::map<uint32_t, std::pair<std::vector<double>, uint64_t>> updates;
-  const size_t row_bytes = size_t{dim} * sizeof(float) + 64;
-  const size_t chunk_rows = std::clamp<size_t>(
-      options_.rebuild_chunk_rows, 64,
-      std::max<size_t>(64, (2ull << 20) / row_bytes));
+  const size_t chunk_rows = ChunkRows(options_.rebuild_chunk_rows, dim);
   RowChunk chunk;
   std::vector<uint32_t> assign_rows;
   // Destination-partition quantization parameters, loaded on first use.
@@ -582,7 +511,6 @@ Result<MaintenanceReport> DB::MaintainLocked() {
   std::map<uint32_t, SaturationCount> saturation;
   for (;;) {
     // Fresh snapshot per chunk: moved rows have left the delta partition.
-    chunk.clear();
     {
       MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<ReadTransaction> txn,
                                engine_->BeginRead());
@@ -590,22 +518,7 @@ Result<MaintenanceReport> DB::MaintainLocked() {
       BTreeCursor c = vectors.NewCursor();
       const std::string prefix = PartitionPrefix(kDeltaPartition);
       MICRONN_RETURN_IF_ERROR(c.Seek(prefix));
-      while (c.Valid() && chunk.size() < chunk_rows &&
-             c.key().substr(0, prefix.size()) == prefix) {
-        uint32_t partition;
-        uint64_t vid;
-        MICRONN_RETURN_IF_ERROR(ParseVectorKey(c.key(), &partition, &vid));
-        MICRONN_ASSIGN_OR_RETURN(std::string value, c.value());
-        VectorRow vr;
-        MICRONN_RETURN_IF_ERROR(DecodeVectorRow(value, dim, &vr));
-        chunk.vids.push_back(vid);
-        chunk.assets.push_back(std::move(vr.asset_id));
-        const size_t off = chunk.block.size();
-        chunk.block.resize(off + dim);
-        std::memcpy(chunk.block.data() + off, vr.vector_blob.data(),
-                    dim * sizeof(float));
-        MICRONN_RETURN_IF_ERROR(c.Next());
-      }
+      MICRONN_RETURN_IF_ERROR(chunk.Load(&c, prefix, chunk_rows, dim));
     }
     if (chunk.size() == 0) break;
     // Assign each delta vector to the nearest centroid row.
@@ -614,77 +527,62 @@ Result<MaintenanceReport> DB::MaintainLocked() {
 
     MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                              engine_->BeginWrite());
-    Status st = [&]() -> Status {
-      MICRONN_ASSIGN_OR_RETURN(BTree vectors, txn->OpenTable(kVectorsTable));
-      MICRONN_ASSIGN_OR_RETURN(BTree vidmap, txn->OpenTable(kVidMapTable));
-      MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
-      MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
-      MICRONN_ASSIGN_OR_RETURN(BTree sq8params,
-                               txn->OpenTable(kSq8ParamsTable));
-      auto params_for = [&](uint32_t partition)
-          -> Result<const std::optional<Sq8PartitionParams>*> {
-        auto it = sq8_params_cache.find(partition);
-        if (it == sq8_params_cache.end()) {
-          MICRONN_ASSIGN_OR_RETURN(std::optional<Sq8PartitionParams> params,
-                                   GetSq8Params(&sq8params, partition, dim));
-          it = sq8_params_cache.emplace(partition, std::move(params)).first;
-        }
-        return &it->second;
-      };
-      for (size_t i = 0; i < chunk.size(); ++i) {
-        const uint32_t row = assign_rows[i];
-        const uint32_t partition = cset.partitions[row];
-        const uint64_t vid = chunk.vids[i];
-        MICRONN_ASSIGN_OR_RETURN(
-            bool erased, vectors.Delete(VectorKey(kDeltaPartition, vid)));
-        if (!erased) continue;  // raced with a concurrent delete? (serialized, defensive)
-        MICRONN_RETURN_IF_ERROR(
-            vectors.Put(VectorKey(partition, vid),
-                        EncodeVectorRow(chunk.assets[i],
-                                        chunk.block.data() + i * dim, dim)));
-        MICRONN_RETURN_IF_ERROR(
-            vidmap.Put(key::U64(vid), EncodeVidMapValue(partition)));
-        // Re-quantize the moved row with its destination's parameters
-        // (values outside the partition's box saturate; the rerank stage
-        // re-scores at full precision).
-        MICRONN_ASSIGN_OR_RETURN(
-            bool sq8_erased, sq8.Delete(VectorKey(kDeltaPartition, vid)));
-        if (sq8_erased) txn->AddRowDelta(kSq8Table, -1);
-        MICRONN_ASSIGN_OR_RETURN(const std::optional<Sq8PartitionParams>* sp,
-                                 params_for(partition));
-        if (sp->has_value()) {
-          const size_t saturated = QuantizeSq8Saturating(
-              chunk.block.data() + i * dim, (*sp)->min.data(),
-              (*sp)->scale.data(), dim, sq8_codes.data());
-          SaturationCount& sat = saturation[partition];
-          sat.saturated += saturated;
-          sat.total += dim;
-          MICRONN_RETURN_IF_ERROR(
-              sq8.Put(VectorKey(partition, vid),
-                      EncodeSq8Row(sq8_codes.data(), dim)));
-          txn->AddRowDelta(kSq8Table, 1);
-        }
-        auto& [sum, cnt] = updates[row];
-        if (sum.empty()) sum.assign(dim, 0.0);
-        const float* v = chunk.block.data() + i * dim;
-        for (uint32_t d = 0; d < dim; ++d) sum[d] += v[d];
-        ++cnt;
+    MICRONN_ASSIGN_OR_RETURN(BTree vectors, txn->OpenTable(kVectorsTable));
+    MICRONN_ASSIGN_OR_RETURN(BTree vidmap, txn->OpenTable(kVidMapTable));
+    MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+    MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
+    MICRONN_ASSIGN_OR_RETURN(BTree sq8params, txn->OpenTable(kSq8ParamsTable));
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      const uint32_t row = assign_rows[i];
+      const uint32_t partition = cset.partitions[row];
+      const uint64_t vid = chunk.vids[i];
+      MICRONN_ASSIGN_OR_RETURN(
+          bool erased, vectors.Delete(VectorKey(kDeltaPartition, vid)));
+      if (!erased) continue;  // defensive: writes are serialized
+      MICRONN_RETURN_IF_ERROR(
+          vectors.Put(VectorKey(partition, vid),
+                      EncodeVectorRow(chunk.assets[i],
+                                      chunk.block.data() + i * dim, dim)));
+      MICRONN_RETURN_IF_ERROR(
+          vidmap.Put(key::U64(vid), EncodeVidMapValue(partition)));
+      // Re-quantize the moved row with its destination's parameters
+      // (values outside the partition's box saturate; the rerank stage
+      // re-scores at full precision).
+      MICRONN_ASSIGN_OR_RETURN(bool sq8_erased,
+                               sq8.Delete(VectorKey(kDeltaPartition, vid)));
+      if (sq8_erased) txn->AddRowDelta(kSq8Table, -1);
+      auto sp = sq8_params_cache.find(partition);
+      if (sp == sq8_params_cache.end()) {
+        MICRONN_ASSIGN_OR_RETURN(std::optional<Sq8PartitionParams> params,
+                                 GetSq8Params(&sq8params, partition, dim));
+        sp = sq8_params_cache.emplace(partition, std::move(params)).first;
       }
-      MICRONN_ASSIGN_OR_RETURN(uint64_t delta_count,
-                               MetaGetU64(&meta, kMetaDeltaCount, 0));
-      const uint64_t moved = chunk.size();
-      MICRONN_RETURN_IF_ERROR(MetaPutU64(
-          &meta, kMetaDeltaCount,
-          delta_count > moved ? delta_count - moved : 0));
-      io.rows_updated.fetch_add(2 * moved, std::memory_order_relaxed);
-      return Status::OK();
-    }();
-    if (!st.ok()) {
-      engine_->Rollback(std::move(txn));
-      return st;
+      if (sp->second.has_value()) {
+        const size_t saturated = QuantizeSq8Saturating(
+            chunk.block.data() + i * dim, sp->second->min.data(),
+            sp->second->scale.data(), dim, sq8_codes.data());
+        SaturationCount& sat = saturation[partition];
+        sat.saturated += saturated;
+        sat.total += dim;
+        MICRONN_RETURN_IF_ERROR(sq8.Put(VectorKey(partition, vid),
+                                        EncodeSq8Row(sq8_codes.data(), dim)));
+        txn->AddRowDelta(kSq8Table, 1);
+      }
+      auto& [sum, cnt] = updates[row];
+      if (sum.empty()) sum.assign(dim, 0.0);
+      const float* v = chunk.block.data() + i * dim;
+      for (uint32_t d = 0; d < dim; ++d) sum[d] += v[d];
+      ++cnt;
     }
+    MICRONN_ASSIGN_OR_RETURN(uint64_t delta_count,
+                             MetaGetU64(&meta, kMetaDeltaCount, 0));
+    const uint64_t moved = chunk.size();
+    MICRONN_RETURN_IF_ERROR(
+        MetaPutU64(&meta, kMetaDeltaCount,
+                   delta_count > moved ? delta_count - moved : 0));
+    io.rows_updated.fetch_add(2 * moved, std::memory_order_relaxed);
     MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
-    report.delta_flushed += chunk.size();
+    report.delta_flushed += moved;
   }
 
   // Drift requantization (ROADMAP "SQ8 drift requantization"): partitions
@@ -711,29 +609,20 @@ Result<MaintenanceReport> DB::MaintainLocked() {
     while (next < drifted.size()) {
       MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                                engine_->BeginWrite());
-      Status st = [&]() -> Status {
-        MICRONN_ASSIGN_OR_RETURN(BTree vectors,
-                                 txn->OpenTable(kVectorsTable));
-        MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
-        MICRONN_ASSIGN_OR_RETURN(BTree sq8params,
-                                 txn->OpenTable(kSq8ParamsTable));
-        uint64_t rows_this_txn = 0;
-        while (next < drifted.size() &&
-               rows_this_txn < requantize_chunk_rows) {
-          MICRONN_ASSIGN_OR_RETURN(
-              uint64_t rows,
-              RequantizePartition(vectors, sq8, sq8params, drifted[next],
-                                  dim, /*global_bounds=*/nullptr));
-          rows_this_txn += rows;
-          io.rows_updated.fetch_add(rows, std::memory_order_relaxed);
-          ++report.partitions_requantized;
-          ++next;
-        }
-        return Status::OK();
-      }();
-      if (!st.ok()) {
-        engine_->Rollback(std::move(txn));
-        return st;
+      MICRONN_ASSIGN_OR_RETURN(BTree vectors, txn->OpenTable(kVectorsTable));
+      MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
+      MICRONN_ASSIGN_OR_RETURN(BTree sq8params,
+                               txn->OpenTable(kSq8ParamsTable));
+      uint64_t rows_this_txn = 0;
+      while (next < drifted.size() && rows_this_txn < requantize_chunk_rows) {
+        MICRONN_ASSIGN_OR_RETURN(
+            uint64_t rows,
+            RequantizePartition(vectors, sq8, sq8params, drifted[next], dim,
+                                /*global_bounds=*/nullptr));
+        rows_this_txn += rows;
+        io.rows_updated.fetch_add(rows, std::memory_order_relaxed);
+        ++report.partitions_requantized;
+        ++next;
       }
       MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
     }
@@ -744,46 +633,40 @@ Result<MaintenanceReport> DB::MaintainLocked() {
   {
     MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                              engine_->BeginWrite());
-    Status st = [&]() -> Status {
-      MICRONN_ASSIGN_OR_RETURN(BTree ctable, txn->OpenTable(kCentroidsTable));
-      for (const auto& [row, upd] : updates) {
-        const auto& [sum, added] = upd;
-        const uint32_t partition = cset.partitions[row];
-        MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> blob,
-                                 ctable.Get(key::U32(partition)));
-        if (!blob.has_value()) continue;
-        CentroidRow cr;
-        MICRONN_RETURN_IF_ERROR(DecodeCentroidRow(*blob, dim, &cr));
-        const uint64_t new_count = cr.count + added;
-        if (new_count > 0) {
-          for (uint32_t d = 0; d < dim; ++d) {
-            cr.centroid[d] = static_cast<float>(
-                (static_cast<double>(cr.centroid[d]) *
-                     static_cast<double>(cr.count) +
-                 sum[d]) /
-                static_cast<double>(new_count));
-          }
-          if (options_.metric == Metric::kCosine) {
-            const float norm = Norm(cr.centroid.data(), dim);
-            if (norm > 0.f) {
-              for (uint32_t d = 0; d < dim; ++d) cr.centroid[d] /= norm;
-            }
+    MICRONN_ASSIGN_OR_RETURN(BTree ctable, txn->OpenTable(kCentroidsTable));
+    for (const auto& [row, upd] : updates) {
+      const auto& [sum, added] = upd;
+      const uint32_t partition = cset.partitions[row];
+      MICRONN_ASSIGN_OR_RETURN(std::optional<std::string> blob,
+                               ctable.Get(key::U32(partition)));
+      if (!blob.has_value()) continue;
+      CentroidRow cr;
+      MICRONN_RETURN_IF_ERROR(DecodeCentroidRow(*blob, dim, &cr));
+      const uint64_t new_count = cr.count + added;
+      if (new_count > 0) {
+        for (uint32_t d = 0; d < dim; ++d) {
+          cr.centroid[d] = static_cast<float>(
+              (static_cast<double>(cr.centroid[d]) *
+                   static_cast<double>(cr.count) +
+               sum[d]) /
+              static_cast<double>(new_count));
+        }
+        if (options_.metric == Metric::kCosine) {
+          const float norm = Norm(cr.centroid.data(), dim);
+          if (norm > 0.f) {
+            for (uint32_t d = 0; d < dim; ++d) cr.centroid[d] /= norm;
           }
         }
-        MICRONN_RETURN_IF_ERROR(
-            ctable.Put(key::U32(partition),
-                       EncodeCentroidRow(new_count, cr.centroid.data(), dim)));
-        io.rows_updated.fetch_add(1, std::memory_order_relaxed);
       }
-      MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
-      MICRONN_ASSIGN_OR_RETURN(uint64_t version,
-                               MetaGetU64(&meta, kMetaIndexVersion, 0));
-      return MetaPutU64(&meta, kMetaIndexVersion, version + 1);
-    }();
-    if (!st.ok()) {
-      engine_->Rollback(std::move(txn));
-      return st;
+      MICRONN_RETURN_IF_ERROR(
+          ctable.Put(key::U32(partition),
+                     EncodeCentroidRow(new_count, cr.centroid.data(), dim)));
+      io.rows_updated.fetch_add(1, std::memory_order_relaxed);
     }
+    MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+    MICRONN_ASSIGN_OR_RETURN(uint64_t version,
+                             MetaGetU64(&meta, kMetaIndexVersion, 0));
+    MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaIndexVersion, version + 1));
     MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
   }
   const IoStats::View after = engine_->io_stats().Snapshot();
@@ -857,24 +740,17 @@ Status DB::AnalyzeStatsLocked() {
   }
   MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                            engine_->BeginWrite());
-  Status st = [&]() -> Status {
-    MICRONN_ASSIGN_OR_RETURN(BTree stats, txn->OpenOrCreateTable(kStatsTable));
-    MICRONN_RETURN_IF_ERROR(stats.Clear());
-    for (auto& [column, cs] : samples) {
-      const ColumnStats built =
-          BuildColumnStats(cs.type, cs.count, std::move(cs.reservoir));
-      MICRONN_RETURN_IF_ERROR(
-          stats.Put(key::Str(column), built.Serialize()));
-    }
-    MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
-    MICRONN_ASSIGN_OR_RETURN(uint64_t version,
-                             MetaGetU64(&meta, kMetaStatsVersion, 0));
-    return MetaPutU64(&meta, kMetaStatsVersion, version + 1);
-  }();
-  if (!st.ok()) {
-    engine_->Rollback(std::move(txn));
-    return st;
+  MICRONN_ASSIGN_OR_RETURN(BTree stats, txn->OpenOrCreateTable(kStatsTable));
+  MICRONN_RETURN_IF_ERROR(stats.Clear());
+  for (auto& [column, cs] : samples) {
+    const ColumnStats built =
+        BuildColumnStats(cs.type, cs.count, std::move(cs.reservoir));
+    MICRONN_RETURN_IF_ERROR(stats.Put(key::Str(column), built.Serialize()));
   }
+  MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+  MICRONN_ASSIGN_OR_RETURN(uint64_t version,
+                           MetaGetU64(&meta, kMetaStatsVersion, 0));
+  MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaStatsVersion, version + 1));
   return engine_->Commit(std::move(txn));
 }
 

@@ -53,16 +53,27 @@ inline constexpr const char* kMetaTable = "meta";
 /// params falls back to full-precision scans.
 inline constexpr const char* kSq8Table = "vectors#sq8";
 inline constexpr const char* kSq8ParamsTable = "sq8params";
-/// Staging tables used during a chunked full rebuild.
+/// Staging names the chunked full rebuild writes into.
 inline constexpr const char* kVectorsNewTable = "vectors#new";
 inline constexpr const char* kVidMapNewTable = "vidmap#new";
 inline constexpr const char* kSq8NewTable = "vectors#sq8#new";
 inline constexpr const char* kSq8ParamsNewTable = "sq8params#new";
-/// Previous-generation tables awaiting chunked cleanup after a swap.
-inline constexpr const char* kVectorsOldTable = "vectors#old";
-inline constexpr const char* kVidMapOldTable = "vidmap#old";
-inline constexpr const char* kSq8OldTable = "vectors#sq8#old";
-inline constexpr const char* kSq8ParamsOldTable = "sq8params#old";
+
+/// One table of the index generation a full rebuild replaces as a unit:
+/// the rebuild writes `staging`, the swap renames `live` to `retired` and
+/// `staging` to `live`, and chunked cleanup drops `retired`.
+struct GenerationTable {
+  const char* live;
+  const char* staging;  // "#new"
+  const char* retired;  // "#old"
+};
+/// Every generation table, in the order the lifecycle visits them.
+inline constexpr GenerationTable kGenerationTables[] = {
+    {kVectorsTable, kVectorsNewTable, "vectors#old"},
+    {kVidMapTable, kVidMapNewTable, "vidmap#old"},
+    {kSq8Table, kSq8NewTable, "vectors#sq8#old"},
+    {kSq8ParamsTable, kSq8ParamsNewTable, "sq8params#old"},
+};
 
 /// Meta keys.
 inline constexpr const char* kMetaDim = "dim";

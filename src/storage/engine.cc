@@ -49,39 +49,21 @@ Status StorageEngine::Close() {
 }
 
 Status StorageEngine::EnsureCatalog() {
-  const uint64_t seq = pager_->BeginSnapshot();
-  PageId root;
   {
-    ReadView view(pager_.get(), seq);
-    Result<PagePtr> header = view.Read(0);
-    if (!header.ok()) {
-      pager_->EndSnapshot(seq);
-      return header.status();
-    }
-    root = header.value()->ReadU32(DbHeader::kOffCatalogRoot);
+    MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<ReadTransaction> snapshot,
+                             BeginRead());
+    MICRONN_ASSIGN_OR_RETURN(PagePtr header, snapshot->view()->Read(0));
+    catalog_root_ = header->ReadU32(DbHeader::kOffCatalogRoot);
   }
-  pager_->EndSnapshot(seq);
-  if (root != kInvalidPage) {
-    catalog_root_ = root;
-    return Status::OK();
-  }
+  if (catalog_root_ != kInvalidPage) return Status::OK();
   // First open: create the catalog tree.
-  MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTxnState> state,
-                           pager_->BeginWrite());
-  WriteView view(pager_.get(), state.get());
-  Result<PageId> created = BTree::Create(&view);
-  if (!created.ok()) {
-    pager_->RollbackWrite(std::move(state));
-    return created.status();
-  }
-  Result<Page*> header = pager_->GetMutablePage(state.get(), 0);
-  if (!header.ok()) {
-    pager_->RollbackWrite(std::move(state));
-    return header.status();
-  }
-  header.value()->WriteU32(DbHeader::kOffCatalogRoot, created.value());
-  MICRONN_RETURN_IF_ERROR(pager_->CommitWrite(std::move(state)));
-  catalog_root_ = created.value();
+  MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
+                           BeginWrite());
+  MICRONN_ASSIGN_OR_RETURN(PageId root, BTree::Create(txn->view()));
+  MICRONN_ASSIGN_OR_RETURN(Page* header, txn->view()->Mutable(0));
+  header->WriteU32(DbHeader::kOffCatalogRoot, root);
+  MICRONN_RETURN_IF_ERROR(Commit(std::move(txn)));
+  catalog_root_ = root;
   return Status::OK();
 }
 
@@ -129,23 +111,18 @@ Status StorageEngine::Commit(std::unique_ptr<WriteTransaction> txn) {
     Result<TableInfo> info = LookupTable(&txn->view_, name);
     if (!info.ok()) {
       if (info.status().IsNotFound()) continue;  // dropped within the txn
-      Rollback(std::move(txn));
       return info.status();
     }
     TableInfo updated = info.value();
     const int64_t count = static_cast<int64_t>(updated.row_count) + delta;
     updated.row_count = count > 0 ? static_cast<uint64_t>(count) : 0;
-    Status st = StoreTable(&txn->view_, name, updated);
-    if (!st.ok()) {
-      Rollback(std::move(txn));
-      return st;
-    }
+    MICRONN_RETURN_IF_ERROR(StoreTable(&txn->view_, name, updated));
   }
   return pager_->CommitWrite(std::move(txn->state_));
 }
 
 void StorageEngine::Rollback(std::unique_ptr<WriteTransaction> txn) {
-  pager_->RollbackWrite(std::move(txn->state_));
+  txn.reset();  // ~WriteTransaction rolls back
 }
 
 Status StorageEngine::Checkpoint() { return pager_->Checkpoint(); }
@@ -196,6 +173,11 @@ Result<std::vector<std::string>> ReadTransaction::ListTables() {
 }
 
 // --- WriteTransaction ---
+
+WriteTransaction::~WriteTransaction() {
+  // Commit moves the state out; anything left was never finished.
+  if (state_ != nullptr) engine_->pager_->RollbackWrite(std::move(state_));
+}
 
 Result<BTree> WriteTransaction::OpenTable(const std::string& name) {
   MICRONN_ASSIGN_OR_RETURN(TableInfo info,
@@ -252,13 +234,6 @@ Status WriteTransaction::RenameTable(const std::string& from,
     row_deltas_.erase(it);
   }
   return Status::OK();
-}
-
-Result<bool> WriteTransaction::TableExists(const std::string& name) {
-  Result<TableInfo> info = engine_->LookupTable(&view_, name);
-  if (info.ok()) return true;
-  if (info.status().IsNotFound()) return false;
-  return info.status();
 }
 
 Result<TableInfo> WriteTransaction::GetTableInfo(const std::string& name) {

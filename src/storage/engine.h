@@ -59,10 +59,13 @@ class ReadTransaction {
   ReadView view_;
 };
 
-/// The (single) write transaction. Must be finished via
-/// StorageEngine::Commit or Rollback. Not thread-safe.
+/// The (single) write transaction, finished by StorageEngine::Commit or
+/// Rollback. A transaction destroyed unfinished rolls back, so an early
+/// return can never leak the writer slot. Must not outlive its engine.
+/// Not thread-safe.
 class WriteTransaction {
  public:
+  ~WriteTransaction();
   WriteTransaction(const WriteTransaction&) = delete;
   WriteTransaction& operator=(const WriteTransaction&) = delete;
 
@@ -75,8 +78,6 @@ class WriteTransaction {
   /// swap at the end of a full rebuild). Fails if `to` exists.
   Status RenameTable(const std::string& from, const std::string& to);
   Result<TableInfo> GetTableInfo(const std::string& name);
-  /// True if the table exists at this transaction's view.
-  Result<bool> TableExists(const std::string& name);
 
   /// Records a change to a table's logical row count; folded into the
   /// catalog at commit. (Row counts feed the optimizer's |R|, Eq. 1.)
@@ -121,9 +122,9 @@ class StorageEngine {
   Result<std::unique_ptr<WriteTransaction>> TryBeginWrite();
 
   /// Commits: folds row-count deltas into the catalog, then performs the
-  /// WAL commit. Consumes the transaction.
+  /// WAL commit. Consumes the transaction; on failure it is rolled back.
   Status Commit(std::unique_ptr<WriteTransaction> txn);
-  /// Discards the transaction.
+  /// Discards the transaction (the same as destroying it).
   void Rollback(std::unique_ptr<WriteTransaction> txn);
 
   /// Incrementally folds the WAL into the main file. Live readers no

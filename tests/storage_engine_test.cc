@@ -278,6 +278,23 @@ TEST_F(EngineTest, SingleWriterEnforced) {
   engine->Rollback(std::move(*w3));
 }
 
+// A transaction destroyed without Commit or Rollback (an early return in
+// the caller) rolls back: the writer slot frees up and its writes vanish.
+TEST_F(EngineTest, DroppedTransactionRollsBack) {
+  auto engine = StorageEngine::Open(path_).value();
+  {
+    auto txn = engine->BeginWrite().value();
+    BTree t = txn->OpenOrCreateTable("t").value();
+    ASSERT_TRUE(t.Put("k", "v").ok());
+    txn->AddRowDelta("t", 1);
+  }
+  auto next = engine->TryBeginWrite();
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  next->reset();
+  auto reader = engine->BeginRead().value();
+  EXPECT_TRUE(reader->OpenTable("t").status().IsNotFound());
+}
+
 TEST_F(EngineTest, LargeValuesThroughEngine) {
   auto engine = StorageEngine::Open(path_).value();
   const std::string blob(3840, 'f');  // a 960-dim float vector's size

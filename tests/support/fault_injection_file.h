@@ -14,10 +14,12 @@
 #define MICRONN_TESTS_SUPPORT_FAULT_INJECTION_FILE_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "storage/file.h"
@@ -53,6 +55,9 @@ struct FaultSchedule {
   uint64_t fail_sync_at = 0;
   /// Fail the Nth Truncate with IOError.
   uint64_t fail_truncate_at = 0;
+  /// Every Sync sleeps this long before it delegates — a slow disk, so
+  /// concurrent committers always overlap an fsync in flight.
+  std::chrono::microseconds sync_delay{0};
 
   // --- Integrity / degraded-mode fault modes ---
 
@@ -196,13 +201,16 @@ class FaultInjectionFile final : public FileHandle {
   }
 
   Status Sync() override {
+    std::chrono::microseconds delay;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++counters_.syncs;
       if (counters_.syncs == schedule_.fail_sync_at) {
         return Status::IOError("injected sync fault in " + base_->path());
       }
+      delay = schedule_.sync_delay;
     }
+    if (delay.count() > 0) std::this_thread::sleep_for(delay);
     return base_->Sync();
   }
 
