@@ -655,6 +655,19 @@ Result<IndexStats> DB::GetIndexStats() {
   return ComputeIndexStats(set, meta);
 }
 
+Result<bool> DB::MaintenanceDue(uint64_t delta_trigger) {
+  MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<ReadTransaction> txn,
+                           engine_->BeginRead());
+  MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
+  MICRONN_ASSIGN_OR_RETURN(uint64_t delta_count,
+                           MetaGetU64(&meta, kMetaDeltaCount, 0));
+  if (delta_count >= delta_trigger) return true;
+  // Never built: with no partitions every vector sits in the delta store.
+  MICRONN_ASSIGN_OR_RETURN(uint64_t n_partitions,
+                           MetaGetU64(&meta, kMetaNumPartitions, 0));
+  return n_partitions == 0 && delta_count > 0;
+}
+
 Result<uint64_t> DB::VectorCount() {
   MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<ReadTransaction> txn,
                            engine_->BeginRead());

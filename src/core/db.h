@@ -102,13 +102,18 @@ class DB {
   /// registry is cleared — queries return to quantized plans on their
   /// own. Unlike Scrub() this does not take the DB write mutex: the
   /// writer slot is the real serialization point, and a step overlapping
-  /// a commit simply returns Busy (callers retry). The background
-  /// HealthMonitor drives this under its I/O token bucket.
+  /// a commit simply returns Busy (callers retry). The
+  /// BackgroundService drives this under its I/O token bucket.
   Result<bool> ScrubStep(uint32_t max_pages);
 
   // --- Introspection ---
 
   Result<IndexStats> GetIndexStats();
+  /// Whether Maintain() is due: the delta store holds at least
+  /// `delta_trigger` vectors, or vectors exist but no index was built.
+  /// Reads two meta values — no centroid decode, so a background loop can
+  /// poll it every tick.
+  Result<bool> MaintenanceDue(uint64_t delta_trigger);
   /// Total vectors currently stored (incl. delta).
   Result<uint64_t> VectorCount();
   /// Drops every in-memory cache (page cache, centroid cache, statistics)

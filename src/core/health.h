@@ -1,10 +1,10 @@
 // Health reporting and quarantine bookkeeping for the self-healing layer.
 //
-// DB::Health() aggregates the degraded/quarantine state PR 9 scattered
+// DB::Health() aggregates the degraded/quarantine state scattered
 // across the stack — pager ENOSPC read-only mode, checksum strictness,
 // the executor's SQ8/attribute quarantine, the incremental-scrub cursor,
 // and the integrity counters — into one cheap, copyable snapshot a host
-// application (or the background HealthMonitor) can poll per request.
+// application (or the BackgroundService loop) can poll per request.
 // docs/DURABILITY.md "Health & self-healing" states the semantics of each
 // field and of the overall verdict.
 #ifndef MICRONN_CORE_HEALTH_H_

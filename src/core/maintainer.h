@@ -1,17 +1,33 @@
-// Background index maintenance (paper Figure 1's "Index Monitor": tracks
-// index quality upon updates and triggers re-indexing when necessary).
+// The background service loop (paper Figure 1's "Index Monitor": tracks
+// index quality upon updates and triggers re-indexing when necessary),
+// which also runs the auto-recovery half of the health subsystem (see
+// docs/DURABILITY.md "Health & self-healing").
 //
-// A small service thread that periodically inspects the index and runs
-// DB::Maintain() when the delta store passes a trigger size (or on the
-// growth threshold, which Maintain escalates to a full rebuild on its
-// own). Host applications that prefer explicit control simply never start
-// one and call Maintain() themselves.
+// One service thread. Each tick, in order:
+//   1. reads DB::Health(); in ENOSPC read-only mode it re-probes the
+//      filesystem via Pager::TryRecoverDegraded() (the pager's exponential
+//      probe backoff keeps that cheap), so a write-idle database leaves
+//      degraded mode without waiting for the next write;
+//   2. unless the store is read-only, runs DB::Maintain() when it is due:
+//      the delta store holds at least `delta_trigger` rows, or rows exist
+//      but no index has been built (Maintain escalates to a full rebuild
+//      on the growth threshold on its own);
+//   3. drives budgeted incremental scrub batches (DB::ScrubStep) when
+//      corruption or quarantine has been observed, pacing the verification
+//      reads with a token bucket so repair runs *beside* traffic instead
+//      of instead of it. A clean pass clears the quarantine registry,
+//      returning queries to quantized plans with no operator action.
+// Maintenance and scrub share the thread, so they never compete for the
+// writer slot. Host applications that prefer explicit control simply
+// never start one and call Maintain()/Scrub() themselves.
 #ifndef MICRONN_CORE_MAINTAINER_H_
 #define MICRONN_CORE_MAINTAINER_H_
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -19,44 +35,90 @@
 
 namespace micronn {
 
-class BackgroundMaintainer {
+class BackgroundService {
  public:
   struct Options {
-    /// How often to inspect the index.
-    std::chrono::milliseconds interval{1000};
+    /// How often the loop ticks.
+    std::chrono::milliseconds interval{250};
     /// Run maintenance once the delta store holds at least this many
-    /// vectors.
+    /// vectors. UINT64_MAX turns maintenance off (a healing-only service).
     uint64_t delta_trigger = 1000;
+    /// Pages verified per ScrubStep — the writer-slot hold is bounded by
+    /// one such batch; commits interleave between batches.
+    uint32_t scrub_batch_pages = 256;
+    /// Token-bucket refill rate for scrub verification reads (default
+    /// 8 MiB/s, roughly background-priority on phone-class flash).
+    /// 0 disables throttling.
+    uint64_t scrub_io_budget_bytes_per_sec = 8ull << 20;
+    /// Also run one full verification pass when the service starts, even
+    /// with no symptom observed. Reads are WAL-first, so damage to folded
+    /// main-file pages is invisible to queries until the frame index is
+    /// gone — a cold-start coverage pass is the only way to find (and
+    /// repair, while the WAL still holds the pristine frames) such latent
+    /// corruption. Costs one budgeted read of the whole file.
+    bool scrub_verify_on_start = false;
   };
 
   /// Starts the service thread immediately. `db` must outlive this object.
-  BackgroundMaintainer(DB* db, const Options& options);
-  ~BackgroundMaintainer();
+  BackgroundService(DB* db, const Options& options);
+  ~BackgroundService();
 
-  BackgroundMaintainer(const BackgroundMaintainer&) = delete;
-  BackgroundMaintainer& operator=(const BackgroundMaintainer&) = delete;
+  BackgroundService(const BackgroundService&) = delete;
+  BackgroundService& operator=(const BackgroundService&) = delete;
 
-  /// Stops the thread (idempotent; also run by the destructor).
+  /// Stops the thread (idempotent; also run by the destructor). Returns
+  /// promptly even while a throttled scrub waits on its token bucket.
   void Stop();
 
-  /// Wakes the thread for an immediate inspection.
+  /// Wakes the thread for an immediate tick.
   void TriggerNow();
 
   /// Number of maintenance passes executed.
   uint64_t maintenance_runs() const {
     return runs_.load(std::memory_order_relaxed);
   }
-  /// Total delta rows flushed by this maintainer.
+  /// Total delta rows flushed by this service.
   uint64_t total_flushed() const {
     return flushed_.load(std::memory_order_relaxed);
   }
-  /// Full rebuilds the policy escalated to.
+  /// Full rebuilds the maintenance policy escalated to.
   uint64_t full_rebuilds() const {
     return full_rebuilds_.load(std::memory_order_relaxed);
   }
+  /// Scrub batches this service drove.
+  uint64_t scrub_steps() const {
+    return scrub_steps_.load(std::memory_order_relaxed);
+  }
+  /// Whole-file scrub passes this service completed.
+  uint64_t passes_completed() const {
+    return passes_completed_.load(std::memory_order_relaxed);
+  }
+  /// ENOSPC degraded-mode exits this service's probing achieved.
+  uint64_t enospc_recoveries() const {
+    return enospc_recoveries_.load(std::memory_order_relaxed);
+  }
 
  private:
+  static constexpr uint64_t kMaintenanceOff =
+      std::numeric_limits<uint64_t>::max();
+
   void Loop();
+  // Step 2: Maintain() when DB::MaintenanceDue says so.
+  void MaybeMaintain();
+  // Whether the observed state calls for (more) scrubbing. Event-driven:
+  // beyond finishing an in-flight pass, triggers only when the corruption
+  // counter moved past the post-pass baseline (or a degraded-serving
+  // state predates any pass), so unrepairable damage does not send the
+  // service into a permanent rescrub loop.
+  bool ScrubWanted(const HealthReport& h) const;
+  // Step 3: budgeted scrub batches until the pass completes or traffic
+  // defers the rest to the next tick. Returns false when stopping.
+  bool ScrubPass();
+  // Blocks (stop-aware) until the token bucket holds `bytes`; returns
+  // false when stopping. Unbudgeted = immediate true.
+  bool WaitForBudget(uint64_t bytes);
+  // Sleeps up to `timeout` or until stopped; returns false when stopping.
+  bool SleepUnlessStopped(std::chrono::milliseconds timeout);
 
   DB* db_;
   Options options_;
@@ -67,93 +129,6 @@ class BackgroundMaintainer {
   std::atomic<uint64_t> runs_{0};
   std::atomic<uint64_t> flushed_{0};
   std::atomic<uint64_t> full_rebuilds_{0};
-  std::thread thread_;
-};
-
-/// Background self-healing service thread (the auto-recovery half of the
-/// health subsystem; see docs/DURABILITY.md "Health & self-healing").
-/// Polls DB::Health() and
-///   - drives budgeted incremental scrub passes (DB::ScrubStep) when
-///     corruption or quarantine has been observed, pacing the verification
-///     reads with a token bucket so repair runs *beside* traffic instead
-///     of instead of it, and
-///   - re-probes ENOSPC read-only mode via Pager::TryRecoverDegraded()
-///     (the pager's exponential probe backoff keeps that cheap), so a
-///     write-idle database leaves degraded mode without waiting for the
-///     next write.
-/// A clean pass clears the quarantine registry (DB::ScrubStep), returning
-/// queries to quantized plans with no operator action. Host applications
-/// that prefer explicit control simply never start one and call
-/// DB::Scrub() themselves.
-class HealthMonitor {
- public:
-  struct Options {
-    /// How often to poll DB::Health().
-    std::chrono::milliseconds interval{250};
-    /// Pages verified per ScrubStep — the writer-slot hold is bounded by
-    /// one such batch; commits interleave between batches.
-    uint32_t scrub_batch_pages = 256;
-    /// Token-bucket refill rate for scrub verification reads (default
-    /// 8 MiB/s, roughly background-priority on phone-class flash).
-    /// 0 disables throttling.
-    uint64_t scrub_io_budget_bytes_per_sec = 8ull << 20;
-    /// Schedule scrub passes automatically on observed corruption or
-    /// quarantine ("health_scrub_auto"). Off leaves scrubbing to explicit
-    /// DB::Scrub() calls; the ENOSPC re-probe still runs.
-    bool scrub_auto = true;
-    /// Also run one full verification pass when the monitor starts, even
-    /// with no symptom observed. Reads are WAL-first, so damage to folded
-    /// main-file pages is invisible to queries until the frame index is
-    /// gone — a cold-start coverage pass is the only way to find (and
-    /// repair, while the WAL still holds the pristine frames) such latent
-    /// corruption. Costs one budgeted read of the whole file.
-    bool scrub_verify_on_start = false;
-  };
-
-  /// Starts the service thread immediately. `db` must outlive this object.
-  HealthMonitor(DB* db, const Options& options);
-  ~HealthMonitor();
-
-  HealthMonitor(const HealthMonitor&) = delete;
-  HealthMonitor& operator=(const HealthMonitor&) = delete;
-
-  /// Stops the thread (idempotent; also run by the destructor).
-  void Stop();
-
-  /// Wakes the thread for an immediate health check.
-  void TriggerNow();
-
-  /// Scrub batches this monitor drove.
-  uint64_t scrub_steps() const {
-    return scrub_steps_.load(std::memory_order_relaxed);
-  }
-  /// Whole-file scrub passes this monitor completed.
-  uint64_t passes_completed() const {
-    return passes_completed_.load(std::memory_order_relaxed);
-  }
-  /// ENOSPC degraded-mode exits this monitor's probing achieved.
-  uint64_t enospc_recoveries() const {
-    return enospc_recoveries_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void Loop();
-  // Whether the observed state calls for (more) scrubbing. Event-driven:
-  // beyond finishing an in-flight pass, triggers only when the corruption
-  // counter moved past the post-pass baseline (or a degraded-serving
-  // state predates any pass), so unrepairable damage does not send the
-  // monitor into a permanent rescrub loop.
-  bool ScrubWanted(const HealthReport& h) const;
-  // Blocks (stop-aware) until the token bucket holds `bytes`; returns
-  // false when stopping. Unbudgeted = immediate true.
-  bool WaitForBudget(uint64_t bytes);
-
-  DB* db_;
-  Options options_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool poke_ = false;
   std::atomic<uint64_t> scrub_steps_{0};
   std::atomic<uint64_t> passes_completed_{0};
   std::atomic<uint64_t> enospc_recoveries_{0};

@@ -146,20 +146,16 @@ struct DbOptions {
   ///   - wal_backpressure_wait_ms (1000): how long that blocking
   ///     checkpoint waits for readers to drain before settling for the
   ///     partial backfill it achieved.
-  ///   - cache_shards (0 = auto): page-cache shard count override. Auto
-  ///     scales with the budget (exact LRU for tiny caches, full fan-out
-  ///     for production budgets); pin it to measure shard-contention
-  ///     effects under many concurrent readers (bench_concurrency). Per
-  ///     shard hit/miss counters surface through IoStats.
   ///   - checksum_pages (true): CRC32C verification of every main-file
   ///     page against the <db>-sum sidecar; mismatches surface as
   ///     Corruption, never as wrong rows.
   ///   - io_retry_budget (3) / io_retry_backoff_us (100): bounded
   ///     exponential-backoff retry of transient I/O errors; permanent
   ///     errors and ENOSPC fail fast.
-  ///   - read_only_on_enospc (true): a full disk degrades the store to
-  ///     read-only (reads keep serving, writes fail fast) with automatic
-  ///     recovery once space returns.
+  ///   - enospc_probe_backoff_ms (10) / enospc_probe_max_backoff_ms
+  ///     (5000): a full disk always degrades the store to read-only
+  ///     (reads keep serving, writes fail fast); these pace the space
+  ///     probe that recovers it automatically once space returns.
   /// docs/ARCHITECTURE.md and docs/DURABILITY.md explain what each buys.
   PagerOptions pager;
 };

@@ -7,16 +7,11 @@
 #ifndef MICRONN_STORAGE_IO_STATS_H_
 #define MICRONN_STORAGE_IO_STATS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
 
 namespace micronn {
-
-/// Upper bound on page-cache shards (PageCache::kMaxShards mirrors it);
-/// per-shard hit/miss counters are sized to this.
-inline constexpr size_t kMaxCacheShards = 64;
 
 // The scalar counters, written once: X(name) per field. IoStats holds
 // each as an atomic and IoStats::View as a plain value; the copy,
@@ -32,9 +27,9 @@ inline constexpr size_t kMaxCacheShards = 64;
 //     checkpoint backfill is the consumer this metric exists for (pages
 //     folded per write syscall).
 //   cache_evictions: LRU entries dropped by the page cache to stay inside
-//     its budget (aggregate + per shard below). Read-ahead that evicts
-//     more than it converts to prefetch_hits is flushing the cache faster
-//     than the scans consume it.
+//     its budget. Read-ahead that evicts more than it converts to
+//     prefetch_hits is flushing the cache faster than the scans consume
+//     it.
 //   wal_writes: every frame-carrying WriteAt on the WAL counts once. With
 //     commit pipelining one write covers a whole group of commits, so
 //     wal_writes/commits is the bench_wal headline the same way
@@ -53,6 +48,7 @@ inline constexpr size_t kMaxCacheShards = 64;
   X(pages_read_main)      /* pread from the main file */      \
   X(pages_read_wal)       /* frame reads from the WAL */      \
   X(pages_cache_hit)      /* served from page cache */        \
+  X(cache_misses)         /* lookups that missed */           \
   X(read_syscalls)                                            \
   X(write_syscalls)                                           \
   X(batch_reads)          /* Pager-level batched reads */     \
@@ -73,14 +69,6 @@ inline constexpr size_t kMaxCacheShards = 64;
   X(read_joins)                                               \
   X(enospc_probes)
 
-// The per-shard page-cache counters (only the first
-// PageCache::shard_count() slots ever move): the readers-at-scale bench
-// uses these to verify shard spread and tune PagerOptions::cache_shards.
-#define MICRONN_IO_STATS_SHARD_COUNTERS(X) \
-  X(cache_shard_hits)                      \
-  X(cache_shard_misses)                    \
-  X(cache_shard_evictions)
-
 /// Monotonic counters; snapshot with Snapshot() and subtract to measure an
 /// operation. All fields are thread-safe.
 class IoStats {
@@ -88,40 +76,23 @@ class IoStats {
 #define MICRONN_X(name) std::atomic<uint64_t> name{0};
   MICRONN_IO_STATS_COUNTERS(MICRONN_X)
 #undef MICRONN_X
-#define MICRONN_X(name) \
-  std::array<std::atomic<uint64_t>, kMaxCacheShards> name{};
-  MICRONN_IO_STATS_SHARD_COUNTERS(MICRONN_X)
-#undef MICRONN_X
 
   /// Plain-value copy of the counters.
   struct View {
 #define MICRONN_X(name) uint64_t name = 0;
     MICRONN_IO_STATS_COUNTERS(MICRONN_X)
 #undef MICRONN_X
-#define MICRONN_X(name) std::array<uint64_t, kMaxCacheShards> name{};
-    MICRONN_IO_STATS_SHARD_COUNTERS(MICRONN_X)
-#undef MICRONN_X
 
     /// Total logical row changes (the Fig. 10d metric).
     uint64_t RowChanges() const {
       return rows_inserted + rows_updated + rows_deleted;
     }
-    /// Page-cache misses summed over the shards.
-    uint64_t CacheMisses() const {
-      uint64_t total = 0;
-      for (const uint64_t m : cache_shard_misses) total += m;
-      return total;
-    }
+    /// Page-cache lookups that missed.
+    uint64_t CacheMisses() const { return cache_misses; }
     View operator-(const View& rhs) const {
       View out;
 #define MICRONN_X(name) out.name = name - rhs.name;
       MICRONN_IO_STATS_COUNTERS(MICRONN_X)
-#undef MICRONN_X
-#define MICRONN_X(name)                        \
-  for (size_t s = 0; s < kMaxCacheShards; ++s) { \
-    out.name[s] = name[s] - rhs.name[s];         \
-  }
-      MICRONN_IO_STATS_SHARD_COUNTERS(MICRONN_X)
 #undef MICRONN_X
       return out;
     }
@@ -131,12 +102,6 @@ class IoStats {
     View v;
 #define MICRONN_X(name) v.name = name.load(std::memory_order_relaxed);
     MICRONN_IO_STATS_COUNTERS(MICRONN_X)
-#undef MICRONN_X
-#define MICRONN_X(name)                                \
-  for (size_t s = 0; s < kMaxCacheShards; ++s) {         \
-    v.name[s] = name[s].load(std::memory_order_relaxed); \
-  }
-    MICRONN_IO_STATS_SHARD_COUNTERS(MICRONN_X)
 #undef MICRONN_X
     return v;
   }

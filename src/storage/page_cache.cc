@@ -34,8 +34,7 @@ PageCache::PageCache(size_t budget_bytes, size_t shard_override)
 PageCache::~PageCache() { Clear(); }
 
 PagePtr PageCache::Get(PageId page, uint64_t version) {
-  const size_t idx = ShardIndex(page);
-  Shard& shard = shards_[idx];
+  Shard& shard = ShardFor(page);
   PagePtr result;
   bool prefetch_hit = false;
   {
@@ -55,13 +54,11 @@ PagePtr PageCache::Get(PageId page, uint64_t version) {
   if (stats_ != nullptr) {
     if (result != nullptr) {
       stats_->pages_cache_hit.fetch_add(1, std::memory_order_relaxed);
-      stats_->cache_shard_hits[idx].fetch_add(1, std::memory_order_relaxed);
       if (prefetch_hit) {
         stats_->prefetch_hits.fetch_add(1, std::memory_order_relaxed);
       }
     } else {
-      stats_->cache_shard_misses[idx].fetch_add(1,
-                                                std::memory_order_relaxed);
+      stats_->cache_misses.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return result;
@@ -75,8 +72,7 @@ bool PageCache::Contains(PageId page, uint64_t version) const {
 
 PagePtr PageCache::Put(PageId page, uint64_t version, PagePtr data) {
   if (budget_bytes() == 0) return data;
-  const size_t idx = ShardIndex(page);
-  Shard& shard = shards_[idx];
+  Shard& shard = ShardFor(page);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const Key key{page, version};
   auto it = shard.map.find(key);
@@ -89,7 +85,7 @@ PagePtr PageCache::Put(PageId page, uint64_t version, PagePtr data) {
   shard.map[key] = shard.lru.begin();
   shard.bytes += PageCache::kEntryBytes;
   MemoryTracker::Global().Allocate(MemoryCategory::kPageCache, PageCache::kEntryBytes);
-  EvictIfNeededLocked(idx, shard);
+  EvictIfNeededLocked(shard);
   return result;
 }
 
@@ -124,7 +120,7 @@ void PageCache::PutBatch(std::span<Insert> inserts, bool prefetched) {
       MemoryTracker::Global().Allocate(MemoryCategory::kPageCache,
                                        PageCache::kEntryBytes);
     }
-    EvictIfNeededLocked(s, shard);
+    EvictIfNeededLocked(shard);
   }
 }
 
@@ -179,7 +175,7 @@ void PageCache::set_budget_bytes(size_t budget) {
   for (size_t s = 0; s < shard_count_; ++s) {
     Shard& shard = shards_[s];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    EvictIfNeededLocked(s, shard);
+    EvictIfNeededLocked(shard);
   }
 }
 
@@ -203,7 +199,7 @@ size_t PageCache::entry_count() const {
   return total;
 }
 
-void PageCache::EvictIfNeededLocked(size_t shard_idx, Shard& shard) {
+void PageCache::EvictIfNeededLocked(Shard& shard) {
   const size_t shard_budget = ShardBudget();
   uint64_t evicted = 0;
   while (shard.bytes > shard_budget && !shard.lru.empty()) {
@@ -216,8 +212,6 @@ void PageCache::EvictIfNeededLocked(size_t shard_idx, Shard& shard) {
   }
   if (evicted > 0 && stats_ != nullptr) {
     stats_->cache_evictions.fetch_add(evicted, std::memory_order_relaxed);
-    stats_->cache_shard_evictions[shard_idx].fetch_add(
-        evicted, std::memory_order_relaxed);
   }
 }
 

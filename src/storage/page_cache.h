@@ -11,12 +11,10 @@
 // on a single lock (the pre-shard design serialized every page lookup in
 // the scan hot path). A page's versions all live in one shard — sharding
 // is by page id — which keeps InvalidatePage a single-shard operation.
-// The shard count is fixed at construction: by default it scales with the
-// budget (tiny caches — a handful of pages — get a single shard so
-// eviction is exact global LRU; production-sized budgets get a wide shard
-// fan-out), and PagerOptions::cache_shards pins it explicitly so the
-// readers-at-scale bench can measure shard-contention effects. Per-shard
-// hit/miss counters are reported through IoStats.
+// The shard count is fixed at construction and scales with the budget
+// (tiny caches — a handful of pages — get a single shard so eviction is
+// exact global LRU; production-sized budgets get a wide shard fan-out).
+// Hits, misses and evictions are reported through IoStats.
 #ifndef MICRONN_STORAGE_PAGE_CACHE_H_
 #define MICRONN_STORAGE_PAGE_CACHE_H_
 
@@ -37,7 +35,7 @@ namespace micronn {
 /// Thread-safe sharded LRU cache of immutable page images.
 class PageCache {
  public:
-  static constexpr size_t kMaxShards = kMaxCacheShards;  // power of two
+  static constexpr size_t kMaxShards = 64;  // power of two
   // A shard only pulls its weight when its budget slice holds at least
   // this many pages; below that, fewer shards with exact LRU win.
   static constexpr size_t kMinPagesPerShard = 8;
@@ -46,9 +44,9 @@ class PageCache {
 
   /// `budget_bytes` bounds the sum of cached page payloads across all
   /// shards. A budget of 0 disables caching entirely (every read goes to
-  /// disk). `shard_override` pins the shard count (rounded down to a
-  /// power of two, clamped to [1, kMaxShards]); 0 picks it from the
-  /// budget.
+  /// disk). `shard_override` (unit tests) pins the shard count (rounded
+  /// down to a power of two, clamped to [1, kMaxShards]); 0 picks it from
+  /// the budget.
   explicit PageCache(size_t budget_bytes, size_t shard_override = 0);
   ~PageCache();
 
@@ -104,9 +102,9 @@ class PageCache {
   size_t entry_count() const;
   size_t shard_count() const { return shard_count_; }
 
-  /// Routes hit/miss accounting into `stats` (cache_shard_hits/_misses
-  /// plus the aggregate pages_cache_hit). Set once at pager bring-up,
-  /// before any reader runs.
+  /// Routes hit/miss/eviction accounting into `stats` (pages_cache_hit,
+  /// cache_misses, prefetch_hits, cache_evictions). Set once at pager
+  /// bring-up, before any reader runs.
   void set_io_stats(IoStats* stats) { stats_ = stats; }
 
  private:
@@ -154,7 +152,7 @@ class PageCache {
     if (total == 0) return 0;
     return std::max(total / shard_count_, kEntryBytes);
   }
-  void EvictIfNeededLocked(size_t shard_idx, Shard& shard);
+  void EvictIfNeededLocked(Shard& shard);
 
   std::atomic<size_t> budget_;
   size_t shard_count_;  // power of two in [1, kMaxShards]

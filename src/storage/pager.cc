@@ -201,7 +201,7 @@ Status Pager::VerifyMainPage(PageId id, const uint8_t* bytes) {
 }
 
 Status Pager::NoteWriteError(Status st) {
-  if (st.IsResourceExhausted() && options_.read_only_on_enospc &&
+  if (st.IsResourceExhausted() &&
       !degraded_.exchange(true, std::memory_order_acq_rel)) {
     {
       std::lock_guard<std::mutex> lock(degraded_info_mutex_);

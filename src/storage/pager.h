@@ -95,14 +95,6 @@ struct PagerOptions {
   /// degrades to a warning instead of deadlocking.
   uint32_t wal_backpressure_wait_ms = 1000;
 
-  /// Page-cache shard count (default 0 = pick from the budget: exact LRU
-  /// for tiny caches, wide fan-out for production budgets). Non-zero pins
-  /// the count (rounded down to a power of two, clamped to
-  /// PageCache::kMaxShards) so many-reader deployments can tune lock
-  /// spread explicitly; per-shard hit/miss counters surface through
-  /// IoStats::cache_shard_hits/_misses.
-  size_t cache_shards = 0;
-
   /// Read-I/O backend for the main file and WAL (default kAuto: io_uring
   /// when the build and kernel support it, else blocking pread). The
   /// MICRONN_IO_BACKEND environment variable ("pread"/"uring"/"auto")
@@ -150,15 +142,13 @@ struct PagerOptions {
   uint32_t io_retry_budget = 3;
   uint32_t io_retry_backoff_us = 100;
 
-  /// ENOSPC handling (default true): a commit, WAL flush, or checkpoint
-  /// that fails with ResourceExhausted flips the pager into a *read-only
-  /// degraded mode* — reads keep serving every committed snapshot, writes
-  /// fail fast with ResourceExhausted, and the next BeginWrite probes the
-  /// filesystem (one page written and truncated back at EOF) to
-  /// auto-recover once space returns. False preserves the old behavior:
-  /// every write keeps retrying against a full disk.
-  bool read_only_on_enospc = true;
-
+  /// ENOSPC handling: a commit, WAL flush, or checkpoint that fails with
+  /// ResourceExhausted flips the pager into a *read-only degraded mode* —
+  /// reads keep serving every committed snapshot, writes fail fast with
+  /// ResourceExhausted, and the next BeginWrite probes the filesystem (one
+  /// page written and truncated back at EOF) to auto-recover once space
+  /// returns.
+  ///
   /// Exponential backoff of the degraded-mode space probe. After a probe
   /// fails (disk still full), the next BeginWrite within the backoff
   /// window fails fast with ResourceExhausted and *no* filesystem
@@ -420,7 +410,7 @@ class Pager {
   /// One bounded batch of the incremental scrub: verifies at most
   /// `max_pages` pages, then releases the writer slot so commits and
   /// searches interleave (the I/O *rate* budget is the caller's job —
-  /// HealthMonitor runs a token bucket over scrub_state().bytes_verified).
+  /// BackgroundService runs a token bucket over the pages it verifies).
   /// The first step of a pass runs the incremental checkpoint, exactly
   /// like the monolithic Scrub. When the cursor reaches the end of the
   /// file the pass completes: `*done` is set, last_report is published,
@@ -447,7 +437,6 @@ class Pager {
   uint64_t last_committed_seq() const;
   uint32_t page_count() const;
   size_t cache_bytes_in_use() const { return cache_.size_bytes(); }
-  size_t cache_shard_count() const { return cache_.shard_count(); }
   /// WAL observability for tests and monitoring.
   uint64_t wal_frame_count() const { return wal_->frame_count(); }
   uint64_t wal_backfill_watermark() const {
@@ -490,7 +479,7 @@ class Pager {
   Pager(std::string path, const PagerOptions& options)
       : options_(options),
         path_(std::move(path)),
-        cache_(options.cache_bytes, options.cache_shards) {
+        cache_(options.cache_bytes) {
     cache_.set_io_stats(&stats_);
   }
 
@@ -546,10 +535,10 @@ class Pager {
   std::atomic<uint32_t> header_version_{0};
   std::atomic<bool> strict_checksums_{false};
 
-  // ENOSPC degraded read-only mode (read_only_on_enospc). Cause and
-  // entry time feed the health report; the probe backoff fields are only
-  // touched with the writer slot held (ProbeDegraded's precondition), so
-  // they need no lock of their own.
+  // ENOSPC degraded read-only mode. Cause and entry time feed the health
+  // report; the probe backoff fields are only touched with the writer
+  // slot held (ProbeDegraded's precondition), so they need no lock of
+  // their own.
   std::atomic<bool> degraded_{false};
   mutable std::mutex degraded_info_mutex_;
   std::string degraded_cause_;

@@ -272,7 +272,7 @@ TEST_F(CorruptionSweepTest, RandomByteFlipsNeverProduceWrongRows) {
 }
 
 // Short soak with the background healer running: random flips, then the
-// query mix runs while a HealthMonitor scrubs behind it. The bar is the
+// query mix runs while a BackgroundService scrubs behind it. The bar is the
 // same — correct-or-explicit-Corruption, never silently wrong — plus the
 // healer must actually complete passes whenever corruption was observed.
 // CI's Release leg runs this with MICRONN_SWEEP_TRIALS raised.
@@ -300,15 +300,16 @@ TEST_F(CorruptionSweepTest, BackgroundHealerSoakNeverProducesWrongRows) {
     DB* db = open->get();
     db->DropCaches();
 
-    HealthMonitor::Options mon;
+    BackgroundService::Options mon;
     mon.interval = std::chrono::milliseconds(3);
+    mon.delta_trigger = UINT64_MAX;  // healing only
     mon.scrub_batch_pages = 32;
     mon.scrub_io_budget_bytes_per_sec = 0;  // unthrottled: keep CI short
     // Cold-start coverage: this database was just reopened over damaged
     // files, exactly the case where queries may never touch the bad page
     // but a scheduled verification pass finds it.
     mon.scrub_verify_on_start = true;
-    HealthMonitor monitor(db, mon);
+    BackgroundService monitor(db, mon);
 
     // Traffic while the healer works. Each mix holds the usual bar.
     bool observed = false;

@@ -1,7 +1,7 @@
 // The self-healing service layer: DB::Health() aggregation (verdict,
 // degraded cause, quarantine, scrub cursor, integrity counters), the
 // resumable budgeted ScrubStep cursor, quarantine persistence across
-// reopen, and the HealthMonitor's ENOSPC auto-recovery. Complements
+// reopen, and the BackgroundService's ENOSPC auto-recovery. Complements
 // scrub_stress_test (healer under concurrent traffic) and
 // enospc_recovery_test (the crash matrix behind read-only mode).
 #include <gtest/gtest.h>
@@ -339,9 +339,9 @@ TEST_F(HealthTest, QuarantinePersistsAcrossReopenAndScrubHeals) {
   EXPECT_TRUE(db->Close().ok());
 }
 
-// ENOSPC: Health() reports read-only with the cause, and the background
-// HealthMonitor alone (no write traffic) exits degraded mode once space
-// returns, through the pager's rate-limited probe.
+// ENOSPC: Health() reports read-only with the cause, and the
+// BackgroundService alone (no write traffic) exits degraded mode once
+// space returns, through the pager's rate-limited probe.
 TEST_F(HealthTest, EnospcReadOnlyHealthAndMonitorAutoRecovery) {
   auto rig = std::make_shared<FaultRig>();
   DbOptions options = Options();
@@ -376,9 +376,10 @@ TEST_F(HealthTest, EnospcReadOnlyHealthAndMonitorAutoRecovery) {
   // Start the monitor while the disk is still full: its first probe
   // fails and arms the backoff; freeing space lets a later probe clear
   // degraded mode with no write traffic at all.
-  HealthMonitor::Options mon;
+  BackgroundService::Options mon;
   mon.interval = std::chrono::milliseconds(2);
-  HealthMonitor monitor(db.get(), mon);
+  mon.delta_trigger = UINT64_MAX;  // healing only
+  BackgroundService monitor(db.get(), mon);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   rig->FreeSpace();
   const auto deadline =

@@ -548,8 +548,10 @@ TEST_F(PagerConcurrencyTest, PipelinedGroupCommitBatchesAppends) {
 
   // Durability: freeze the files as a power cut would and recover the
   // copy — batching appends must not weaken the acked-commit guarantee.
+  // Every round committed its own rows.
   const uint64_t expected_rows =
-      1 + static_cast<uint64_t>(kThreads) * kCommitsPerThread * kRowsPerCommit;
+      1 + static_cast<uint64_t>(rounds) * kThreads * kCommitsPerThread *
+              kRowsPerCommit;
   const std::string crash = (dir_ / "crash_db").string();
   std::filesystem::copy_file(path_, crash);
   std::filesystem::copy_file(path_ + "-wal", crash + "-wal");

@@ -1,5 +1,5 @@
 // Scrub-under-traffic stress: inject repairable page corruption into a
-// built database, then let the background HealthMonitor heal it to
+// built database, then let the BackgroundService heal it to
 // kHealthy — no explicit DB::Scrub() call — while writer and reader
 // threads hammer the database. The acceptance bar:
 //   - every acked commit is durable and searchable afterwards,
@@ -197,12 +197,12 @@ TEST_F(ScrubStressTest, BackgroundHealerRepairsUnderConcurrentTraffic) {
   // demonstrably spans many steps while traffic runs beside it. The
   // trigger is the observed corruption/quarantine above — no cold-start
   // pass, no explicit Scrub().
-  HealthMonitor::Options mon;
+  BackgroundService::Options mon;
   mon.interval = std::chrono::milliseconds(5);
+  mon.delta_trigger = UINT64_MAX;  // healing only
   mon.scrub_batch_pages = 8;
   mon.scrub_io_budget_bytes_per_sec = 2ull << 20;  // ~2 MiB/s
-  mon.scrub_auto = true;
-  HealthMonitor monitor(db.get(), mon);
+  BackgroundService monitor(db.get(), mon);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> acked_commits{0};

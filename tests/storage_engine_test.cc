@@ -329,39 +329,5 @@ TEST_F(EngineTest, CheckpointThenReopenWithoutWal) {
   EXPECT_EQ(*t.Get("k").value(), "v");
 }
 
-TEST_F(EngineTest, CacheShardOverridePlumbsThroughPagerOptions) {
-  PagerOptions options;
-  options.cache_shards = 2;
-  auto engine = StorageEngine::Open(path_, options).value();
-  EXPECT_EQ(engine->pager()->cache_shard_count(), 2u);
-  {
-    auto txn = engine->BeginWrite().value();
-    BTree t = txn->OpenOrCreateTable("t").value();
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(t.Put(key::U64(i), std::string(100, 'x')).ok());
-    }
-    ASSERT_TRUE(engine->Commit(std::move(txn)).ok());
-  }
-  const IoStats::View before = engine->io_stats().Snapshot();
-  {
-    auto txn = engine->BeginRead().value();
-    BTree t = txn->OpenTable("t").value();
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(t.Get(key::U64(i)).value().has_value());
-    }
-  }
-  const IoStats::View delta = engine->io_stats().Snapshot() - before;
-  // Warm reads hit the cache; the per-shard counters must account for
-  // exactly the aggregate hit counter and stay within the pinned shards.
-  uint64_t shard_hits = 0;
-  for (const uint64_t h : delta.cache_shard_hits) shard_hits += h;
-  EXPECT_GT(delta.pages_cache_hit, 0u);
-  EXPECT_EQ(shard_hits, delta.pages_cache_hit);
-  for (size_t s = 2; s < kMaxCacheShards; ++s) {
-    EXPECT_EQ(delta.cache_shard_hits[s], 0u);
-    EXPECT_EQ(delta.cache_shard_misses[s], 0u);
-  }
-}
-
 }  // namespace
 }  // namespace micronn

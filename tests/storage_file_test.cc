@@ -235,7 +235,7 @@ TEST(PageCacheTest, ShardOverridePinsTheCount) {
             PageCache::kMaxShards);
 }
 
-TEST(PageCacheTest, PerShardHitMissCountersFeedIoStats) {
+TEST(PageCacheTest, HitMissCountersFeedIoStats) {
   IoStats stats;
   PageCache cache(64 * PageCache::kEntryBytes, 4);
   cache.set_io_stats(&stats);
@@ -249,23 +249,22 @@ TEST(PageCacheTest, PerShardHitMissCountersFeedIoStats) {
     EXPECT_EQ(cache.Get(p, 0), nullptr);
   }
   const IoStats::View v = stats.Snapshot();
-  uint64_t hits = 0;
-  for (const uint64_t h : v.cache_shard_hits) hits += h;
-  EXPECT_EQ(hits, 16u);
-  EXPECT_EQ(v.pages_cache_hit, 16u);  // aggregate mirrors the shard sum
+  EXPECT_EQ(v.pages_cache_hit, 16u);
   EXPECT_EQ(v.CacheMisses(), 8u);
-  // Only the first shard_count() slots may move.
-  for (size_t s = cache.shard_count(); s < kMaxCacheShards; ++s) {
-    EXPECT_EQ(v.cache_shard_hits[s], 0u);
-    EXPECT_EQ(v.cache_shard_misses[s], 0u);
+  EXPECT_EQ(v.cache_evictions, 0u);
+}
+
+TEST(PageCacheTest, SequentialPagesSpreadAcrossShards) {
+  // One page per shard: if the hash sent 16 sequential page ids to a
+  // single shard, only the newest would survive.
+  IoStats stats;
+  PageCache cache(4 * PageCache::kEntryBytes, 4);
+  cache.set_io_stats(&stats);
+  for (PageId p = 1; p <= 16; ++p) {
+    cache.Put(p, 0, std::make_shared<Page>());
   }
-  // The hash spread should reach more than one of the 4 shards even with
-  // 16 sequential page ids.
-  size_t touched = 0;
-  for (size_t s = 0; s < cache.shard_count(); ++s) {
-    if (v.cache_shard_hits[s] > 0) ++touched;
-  }
-  EXPECT_GT(touched, 1u);
+  EXPECT_GT(cache.entry_count(), 1u);
+  EXPECT_EQ(stats.Snapshot().cache_evictions, 16u - cache.entry_count());
 }
 
 TEST(PageCacheTest, DropVersionedKeepsMainFilePages) {
