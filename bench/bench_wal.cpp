@@ -1,19 +1,18 @@
-// Write-path bench: pipelined group commit and WAL wrap-around.
+// Write-path bench: group commit and WAL wrap-around.
 //
-// Part 1 — commit matrix: synced commits at 1/4/16 threads with the
-// commit pipeline off vs on. Pipelining makes the group-commit leader
-// batch the *appends* too (one contiguous WAL write per group before the
-// shared fdatasync), so the tracked shape is WAL write syscalls per
-// commit: at 16 threads the pipelined cell must need >= 2x fewer than
-// the unpipelined one (the CI smoke assertion). commits/sec is printed
-// for context but is noisy on single-core CI boxes.
+// Part 1 — commit scaling: synced commits at 1/4/16 threads. The
+// group-commit leader batches the *appends* as well as the fsyncs (one
+// contiguous WAL write per group before the shared fdatasync), so the
+// tracked shape is WAL write syscalls per commit: at 16 threads it must
+// be <= 0.5, i.e. >= 2x fewer than the one write per commit an
+// unbatched append costs (the CI smoke assertion). commits/sec is
+// printed for context but is noisy on single-core CI boxes.
 //
 // Part 2 — steady-state WAL size under a rolling pinned snapshot (a
-// reader always live, refreshed after every batch) with wrap-around off
-// vs on. With wrap off the truncating reset never fires and the log
-// grows with the run; with wrap on every full fold reuses the reclaimed
-// prefix, so the peak file size stays within 2x of the live-frame
-// footprint (the ISSUE acceptance bound).
+// reader always live, refreshed after every batch). The truncating
+// reset never fires, so only wrap-around reclaims the log: every full
+// fold reuses the reclaimed prefix, and the peak file size must stay
+// within 2x of the live-frame footprint.
 //
 // Machine-readable output: BENCH_wal.json.
 #include <atomic>
@@ -50,17 +49,15 @@ Status CommitRows(StorageEngine* engine, uint64_t start, uint64_t rows) {
 
 struct CommitCell {
   int threads = 0;
-  bool pipeline = false;
   double commits_per_sec = 0;
   double wal_writes_per_commit = 0;
   double wal_syncs_per_commit = 0;
 };
 
 CommitCell RunCommitConfig(const std::string& path, int threads,
-                           bool pipeline, int commits_per_thread) {
+                           int commits_per_thread) {
   PagerOptions options;
   options.sync_on_commit = true;
-  options.commit_pipeline = pipeline;
   options.auto_checkpoint_frames = 0;  // keep syscalls commit-attributable
   options.wal_backpressure_frames = 0;
   auto engine = StorageEngine::Open(path, options).value();
@@ -94,7 +91,6 @@ CommitCell RunCommitConfig(const std::string& path, int threads,
 
   CommitCell cell;
   cell.threads = threads;
-  cell.pipeline = pipeline;
   const double commits =
       static_cast<double>(delta.commits) - static_cast<double>(failures);
   cell.commits_per_sec = secs > 0 ? commits / secs : 0;
@@ -106,7 +102,6 @@ CommitCell RunCommitConfig(const std::string& path, int threads,
 }
 
 struct WrapCell {
-  bool wrap = false;
   uintmax_t peak_wal_bytes = 0;
   uintmax_t live_frame_bytes = 0;  // largest one-checkpoint-interval log
   uint32_t epochs = 0;
@@ -117,18 +112,15 @@ struct WrapCell {
 // pinned (refreshed after every batch, never dropped first), with an
 // explicit checkpoint every 4 batches — the workload where only
 // wrap-around can reclaim the log.
-WrapCell RunWrapConfig(const std::string& path, bool wrap,
-                       uint64_t total_rows) {
+WrapCell RunWrapConfig(const std::string& path, uint64_t total_rows) {
   constexpr uint64_t kBatchRows = 200;
   PagerOptions options;
-  options.wal_wraparound = wrap;
   options.auto_checkpoint_frames = 0;
   options.wal_backpressure_frames = 0;
   auto engine = StorageEngine::Open(path, options).value();
   Pager* pager = engine->pager();
 
   WrapCell cell;
-  cell.wrap = wrap;
   std::unique_ptr<ReadTransaction> pinned;
   uint64_t row = 0;
   int batch = 0;
@@ -141,8 +133,8 @@ WrapCell RunWrapConfig(const std::string& path, bool wrap,
     cell.peak_wal_bytes = std::max(cell.peak_wal_bytes,
                                    std::filesystem::file_size(path + "-wal"));
     if (++batch % 4 == 0) {
-      // With wrap on, the frame count right before the checkpoint is the
-      // live working set: everything older was reclaimed by prior wraps.
+      // The frame count right before the checkpoint is the live working
+      // set: everything older was reclaimed by prior wraps.
       cell.live_frame_bytes = std::max(
           cell.live_frame_bytes,
           static_cast<uintmax_t>(pager->wal_frame_count()) * Wal::kFrameSize +
@@ -161,74 +153,51 @@ WrapCell RunWrapConfig(const std::string& path, bool wrap,
 
 int main() {
   const double scale = BenchScale(0.025);
-  std::printf("== WAL write path: pipelined group commit + wrap-around "
+  std::printf("== WAL write path: group commit + wrap-around "
               "(scale %.4f) ==\n\n", scale);
   BenchDir dir("wal");
 
-  // --- Part 1: commit matrix ---
+  // --- Part 1: commit scaling ---
   const int commits_per_thread =
       std::max(25, static_cast<int>(4000 * scale));
   std::vector<CommitCell> cells;
-  std::printf("  %7s %9s %12s %17s %16s\n", "threads", "pipeline",
-              "commits/s", "wal-writes/commit", "wal-syncs/commit");
+  std::printf("  %7s %12s %17s %16s\n", "threads", "commits/s",
+              "wal-writes/commit", "wal-syncs/commit");
   for (const int threads : {1, 4, 16}) {
-    for (const bool pipeline : {false, true}) {
-      const std::string path =
-          dir.Path("commit_" + std::to_string(threads) +
-                   (pipeline ? "_on" : "_off") + ".db");
-      CommitCell c =
-          RunCommitConfig(path, threads, pipeline, commits_per_thread);
-      std::printf("  %7d %9s %12.1f %17.3f %16.3f\n", c.threads,
-                  c.pipeline ? "on" : "off", c.commits_per_sec,
-                  c.wal_writes_per_commit, c.wal_syncs_per_commit);
-      cells.push_back(c);
-    }
+    const std::string path =
+        dir.Path("commit_" + std::to_string(threads) + ".db");
+    CommitCell c = RunCommitConfig(path, threads, commits_per_thread);
+    std::printf("  %7d %12.1f %17.3f %16.3f\n", c.threads, c.commits_per_sec,
+                c.wal_writes_per_commit, c.wal_syncs_per_commit);
+    cells.push_back(c);
   }
-
-  // Headline: write-syscall reduction at the widest burst.
-  const CommitCell* off16 = nullptr;
-  const CommitCell* on16 = nullptr;
-  for (const CommitCell& c : cells) {
-    if (c.threads == 16) (c.pipeline ? on16 : off16) = &c;
-  }
+  // Headline: write-syscall reduction at the widest burst, against the
+  // one write per commit of an unbatched append.
+  const CommitCell& widest = cells.back();
   const double write_reduction =
-      (on16 && off16 && on16->wal_writes_per_commit > 0)
-          ? off16->wal_writes_per_commit / on16->wal_writes_per_commit
-          : 0;
-  std::printf("\nheadline: 16-thread pipelined commit -> %.2fx fewer WAL "
+      widest.wal_writes_per_commit > 0 ? 1.0 / widest.wal_writes_per_commit
+                                       : 0;
+  std::printf("\nheadline: 16-thread group commit -> %.2fx fewer WAL "
               "write syscalls per commit\n", write_reduction);
 
   // --- Part 2: steady-state WAL size under a rolling pinned snapshot ---
   const uint64_t total_rows =
       std::max<uint64_t>(2000, static_cast<uint64_t>(100000 * scale));
-  std::printf("\n  %5s %9s %15s %17s %7s\n", "wrap", "rows",
-              "peak-wal-bytes", "live-frame-bytes", "epochs");
-  std::vector<WrapCell> wraps;
-  for (const bool wrap : {false, true}) {
-    const std::string path =
-        dir.Path(std::string("wrap_") + (wrap ? "on" : "off") + ".db");
-    WrapCell w = RunWrapConfig(path, wrap, total_rows);
-    std::printf("  %5s %9llu %15llu %17llu %7u\n", w.wrap ? "on" : "off",
-                static_cast<unsigned long long>(w.rows),
-                static_cast<unsigned long long>(w.peak_wal_bytes),
-                static_cast<unsigned long long>(w.live_frame_bytes),
-                w.epochs);
-    wraps.push_back(w);
-  }
-  const WrapCell& wrap_off = wraps[0];
-  const WrapCell& wrap_on = wraps[1];
+  const WrapCell wrap = RunWrapConfig(dir.Path("wrap.db"), total_rows);
+  std::printf("\n  %9s %15s %17s %7s\n", "rows", "peak-wal-bytes",
+              "live-frame-bytes", "epochs");
+  std::printf("  %9llu %15llu %17llu %7u\n",
+              static_cast<unsigned long long>(wrap.rows),
+              static_cast<unsigned long long>(wrap.peak_wal_bytes),
+              static_cast<unsigned long long>(wrap.live_frame_bytes),
+              wrap.epochs);
   const double size_ratio =
-      wrap_on.live_frame_bytes > 0
-          ? static_cast<double>(wrap_on.peak_wal_bytes) /
-                static_cast<double>(wrap_on.live_frame_bytes)
+      wrap.live_frame_bytes > 0
+          ? static_cast<double>(wrap.peak_wal_bytes) /
+                static_cast<double>(wrap.live_frame_bytes)
           : 0;
-  std::printf("\nwrap-on peak = %.2fx live-frame footprint (acceptance "
-              "bound: <= 2x); wrap-off log ended %.1fx larger\n",
-              size_ratio,
-              wrap_on.peak_wal_bytes > 0
-                  ? static_cast<double>(wrap_off.peak_wal_bytes) /
-                        static_cast<double>(wrap_on.peak_wal_bytes)
-                  : 0);
+  std::printf("\npeak WAL = %.2fx live-frame footprint (bound: <= 2x)\n",
+              size_ratio);
 
   if (FILE* f = std::fopen("BENCH_wal.json", "w")) {
     std::fprintf(f, "{\n  \"bench\": \"wal_write_path\",\n"
@@ -236,40 +205,31 @@ int main() {
     for (size_t i = 0; i < cells.size(); ++i) {
       const CommitCell& c = cells[i];
       std::fprintf(f,
-                   "    {\"threads\": %d, \"pipeline\": %s, "
-                   "\"commits_per_sec\": %.1f, "
+                   "    {\"threads\": %d, \"commits_per_sec\": %.1f, "
                    "\"wal_writes_per_commit\": %.4f, "
                    "\"wal_syncs_per_commit\": %.4f}%s\n",
-                   c.threads, c.pipeline ? "true" : "false",
-                   c.commits_per_sec, c.wal_writes_per_commit,
-                   c.wal_syncs_per_commit,
-                   i + 1 < cells.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"wrap_rows\": [\n");
-    for (size_t i = 0; i < wraps.size(); ++i) {
-      const WrapCell& w = wraps[i];
-      std::fprintf(f,
-                   "    {\"wrap\": %s, \"rows\": %llu, "
-                   "\"peak_wal_bytes\": %llu, \"live_frame_bytes\": %llu, "
-                   "\"epochs\": %u}%s\n",
-                   w.wrap ? "true" : "false",
-                   static_cast<unsigned long long>(w.rows),
-                   static_cast<unsigned long long>(w.peak_wal_bytes),
-                   static_cast<unsigned long long>(w.live_frame_bytes),
-                   w.epochs, i + 1 < wraps.size() ? "," : "");
+                   c.threads, c.commits_per_sec, c.wal_writes_per_commit,
+                   c.wal_syncs_per_commit, i + 1 < cells.size() ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"headline\": {\"wal_write_reduction_16t\": %.3f, "
+                 "  ],\n  \"wrap\": {\"rows\": %llu, "
+                 "\"peak_wal_bytes\": %llu, \"live_frame_bytes\": %llu, "
+                 "\"epochs\": %u},\n",
+                 static_cast<unsigned long long>(wrap.rows),
+                 static_cast<unsigned long long>(wrap.peak_wal_bytes),
+                 static_cast<unsigned long long>(wrap.live_frame_bytes),
+                 wrap.epochs);
+    std::fprintf(f,
+                 "  \"headline\": {\"wal_write_reduction_16t\": %.3f, "
                  "\"wrap_peak_over_live\": %.3f}\n}\n",
                  write_reduction, size_ratio);
     std::fclose(f);
-    std::printf("wrote BENCH_wal.json (%zu commit rows, %zu wrap rows)\n",
-                cells.size(), wraps.size());
+    std::printf("wrote BENCH_wal.json (%zu commit rows)\n", cells.size());
   } else {
     std::fprintf(stderr, "failed to write BENCH_wal.json\n");
     return 1;
   }
-  std::printf("shape check: 16-thread pipelined >= 2x fewer WAL writes per "
-              "commit; wrap-on peak <= 2x live-frame footprint\n");
+  std::printf("shape check: 16-thread group commit <= 0.5 WAL writes per "
+              "commit; peak WAL <= 2x live-frame footprint\n");
   return 0;
 }

@@ -129,14 +129,8 @@ struct DbOptions {
   ///   - cache_bytes (8 MiB): page-cache budget, the memory knob of the
   ///     paper's Small/Large device profiles; 0 disables caching.
   ///   - sync_on_commit (false): fdatasync the WAL before a commit is
-  ///     acknowledged; concurrent committers share fsyncs (group commit).
-  ///   - commit_pipeline (true): with sync_on_commit, the group-commit
-  ///     leader also batches the *appends* — one contiguous WAL write per
-  ///     group before the shared fsync. Off-switch for bisection.
-  ///   - wal_wraparound (true): reclaim a fully folded WAL by wrapping to
-  ///     slot 1 (format v3 frame epochs) when live reader snapshots
-  ///     prevent the truncating reset, bounding WAL size under pinned or
-  ///     rolling snapshots. Off-switch for bisection.
+  ///     acknowledged; concurrent committers share one WAL write and one
+  ///     fsync per group (group commit).
   ///   - auto_checkpoint_frames (16384): best-effort incremental
   ///     checkpoint threshold; folds up to the oldest reader snapshot and
   ///     never blocks foreground work. 0 disables.

@@ -127,8 +127,6 @@ void StorageEngine::Rollback(std::unique_ptr<WriteTransaction> txn) {
 
 Status StorageEngine::Checkpoint() { return pager_->Checkpoint(); }
 
-Status StorageEngine::SyncWal() { return pager_->SyncWal(); }
-
 void StorageEngine::DropCaches() { pager_->DropCaches(); }
 
 uint64_t StorageEngine::last_committed_seq() const {
@@ -173,11 +171,6 @@ Result<std::vector<std::string>> ReadTransaction::ListTables() {
 }
 
 // --- WriteTransaction ---
-
-WriteTransaction::~WriteTransaction() {
-  // Commit moves the state out; anything left was never finished.
-  if (state_ != nullptr) engine_->pager_->RollbackWrite(std::move(state_));
-}
 
 Result<BTree> WriteTransaction::OpenTable(const std::string& name) {
   MICRONN_ASSIGN_OR_RETURN(TableInfo info,

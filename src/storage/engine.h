@@ -65,7 +65,6 @@ class ReadTransaction {
 /// Not thread-safe.
 class WriteTransaction {
  public:
-  ~WriteTransaction();
   WriteTransaction(const WriteTransaction&) = delete;
   WriteTransaction& operator=(const WriteTransaction&) = delete;
 
@@ -134,12 +133,6 @@ class StorageEngine {
   /// yields Busy. See docs/ARCHITECTURE.md for the frame lifecycle and
   /// tests/pager_concurrency_test.cc for the contract.
   Status Checkpoint();
-  /// Durability barrier without a checkpoint: flushes any staged
-  /// (pipelined) WAL frames and fsyncs the log, making every commit
-  /// published so far crash-durable. Cheaper than Checkpoint when the
-  /// caller only needs durability (e.g. a batch loader running with
-  /// sync_on_commit off that wants one sync per batch).
-  Status SyncWal();
   /// Drops page cache contents (cold-start simulation).
   void DropCaches();
 

@@ -31,7 +31,7 @@ namespace micronn {
 //     prefetch_hits is flushing the cache faster than the scans consume
 //     it.
 //   wal_writes: every frame-carrying WriteAt on the WAL counts once. With
-//     commit pipelining one write covers a whole group of commits, so
+//     sync_on_commit one group-commit write covers a whole group, so
 //     wal_writes/commits is the bench_wal headline the same way
 //     read_syscalls is bench_io's.
 //   io_retries, corruptions_detected, read_joins: fault-domain counters

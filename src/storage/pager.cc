@@ -215,14 +215,14 @@ Status Pager::NoteWriteError(Status st) {
   return st;
 }
 
-Status Pager::ProbeDegraded() {
-  // Called with the writer slot held. In degraded mode, probe the
-  // filesystem for space — one page written past EOF, truncated straight
-  // back — so writes resume automatically once space returns and fail
-  // fast (ResourceExhausted, no partial work) while it has not. After a
-  // failed probe the next attempts inside the (exponentially growing)
-  // backoff window skip the syscalls entirely: a full disk should not
-  // turn every rejected write into two extra filesystem operations.
+Status Pager::ProbeDegraded(const WriterSlot& /*slot*/) {
+  // In degraded mode, probe the filesystem for space — one page written
+  // past EOF, truncated straight back — so writes resume automatically
+  // once space returns and fail fast (ResourceExhausted, no partial work)
+  // while it has not. After a failed probe the next attempts inside the
+  // (exponentially growing) backoff window skip the syscalls entirely: a
+  // full disk should not turn every rejected write into two extra
+  // filesystem operations.
   if (!degraded_.load(std::memory_order_acquire)) return Status::OK();
   const auto now = std::chrono::steady_clock::now();
   if (enospc_probe_backoff_ms_ > 0 && now < enospc_next_probe_) {
@@ -237,17 +237,16 @@ Status Pager::ProbeDegraded() {
   Status restore = db_file_->Truncate(end);  // undo the probe either way
   if (st.ok()) st = restore;
   if (!st.ok()) {
-    if (options_.enospc_probe_backoff_ms > 0) {
-      enospc_probe_backoff_ms_ =
-          enospc_probe_backoff_ms_ == 0
-              ? options_.enospc_probe_backoff_ms
-              : static_cast<uint32_t>(std::min<uint64_t>(
-                    2ull * enospc_probe_backoff_ms_,
-                    std::max(options_.enospc_probe_max_backoff_ms,
-                             options_.enospc_probe_backoff_ms)));
-      enospc_next_probe_ =
-          now + std::chrono::milliseconds(enospc_probe_backoff_ms_);
-    }
+    // A 0 initial backoff keeps the window at 0: probe on every attempt.
+    enospc_probe_backoff_ms_ =
+        enospc_probe_backoff_ms_ == 0
+            ? options_.enospc_probe_backoff_ms
+            : static_cast<uint32_t>(std::min<uint64_t>(
+                  2ull * enospc_probe_backoff_ms_,
+                  std::max(options_.enospc_probe_max_backoff_ms,
+                           options_.enospc_probe_backoff_ms)));
+    enospc_next_probe_ =
+        now + std::chrono::milliseconds(enospc_probe_backoff_ms_);
     return Status::ResourceExhausted(
         "database is read-only (degraded after out-of-space); space probe "
         "failed: " +
@@ -282,20 +281,11 @@ uint64_t Pager::degraded_for_ms() const {
 
 Status Pager::TryRecoverDegraded() {
   if (!degraded_.load(std::memory_order_acquire)) return Status::OK();
-  {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    if (writer_active_) {
-      return Status::Busy("writer active during degraded-recovery probe");
-    }
-    writer_active_ = true;
-  }
-  Status st = ProbeDegraded();
-  {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    writer_active_ = false;
-  }
-  writer_cv_.notify_one();
-  return st;
+  MICRONN_ASSIGN_OR_RETURN(
+      WriterSlot slot,
+      WriterSlot::TryAcquire(&writer_gate_,
+                             "writer active during degraded-recovery probe"));
+  return ProbeDegraded(slot);
 }
 
 uint64_t Pager::BeginSnapshot() {
@@ -581,46 +571,44 @@ void Pager::CompleteInflight(InflightBatch* b) {
   b->cv.notify_all();
 }
 
-Result<std::unique_ptr<WriteTxnState>> Pager::BeginWrite() {
-  std::unique_lock<std::mutex> lock(writer_mutex_);
-  writer_cv_.wait(lock, [this] { return !writer_active_; });
-  writer_active_ = true;
-  lock.unlock();
+WriterSlot WriterSlot::Acquire(Gate* gate) {
+  std::unique_lock<std::mutex> lock(gate->writer_mutex_);
+  gate->writer_cv_.wait(lock, [gate] { return !gate->writer_active_; });
+  gate->writer_active_ = true;
+  return WriterSlot(gate);
+}
 
-  if (Status probe = ProbeDegraded(); !probe.ok()) {
-    {
-      std::lock_guard<std::mutex> l(writer_mutex_);
-      writer_active_ = false;
-    }
-    writer_cv_.notify_one();
-    return probe;
-  }
-  auto txn = std::make_unique<WriteTxnState>();
+Result<WriterSlot> WriterSlot::TryAcquire(Gate* gate, const char* what) {
+  std::lock_guard<std::mutex> lock(gate->writer_mutex_);
+  if (gate->writer_active_) return Status::Busy(what);
+  gate->writer_active_ = true;
+  return WriterSlot(gate);
+}
+
+WriterSlot::~WriterSlot() {
+  if (gate_ == nullptr) return;
   {
-    std::lock_guard<std::mutex> l(mutex_);
-    txn->base_seq_ = last_committed_seq_;
-    txn->page_count_ = page_count_;
+    std::lock_guard<std::mutex> lock(gate_->writer_mutex_);
+    gate_->writer_active_ = false;
   }
-  return txn;
+  gate_->writer_cv_.notify_one();
+}
+
+Result<std::unique_ptr<WriteTxnState>> Pager::BeginWrite() {
+  return StartWrite(WriterSlot::Acquire(&writer_gate_));
 }
 
 Result<std::unique_ptr<WriteTxnState>> Pager::TryBeginWrite() {
-  {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    if (writer_active_) {
-      return Status::Busy("another write transaction is active");
-    }
-    writer_active_ = true;
-  }
-  if (Status probe = ProbeDegraded(); !probe.ok()) {
-    {
-      std::lock_guard<std::mutex> l(writer_mutex_);
-      writer_active_ = false;
-    }
-    writer_cv_.notify_one();
-    return probe;
-  }
-  auto txn = std::make_unique<WriteTxnState>();
+  MICRONN_ASSIGN_OR_RETURN(
+      WriterSlot slot,
+      WriterSlot::TryAcquire(&writer_gate_,
+                             "another write transaction is active"));
+  return StartWrite(std::move(slot));
+}
+
+Result<std::unique_ptr<WriteTxnState>> Pager::StartWrite(WriterSlot slot) {
+  MICRONN_RETURN_IF_ERROR(ProbeDegraded(slot));
+  std::unique_ptr<WriteTxnState> txn(new WriteTxnState(std::move(slot)));
   {
     std::lock_guard<std::mutex> l(mutex_);
     txn->base_seq_ = last_committed_seq_;
@@ -692,10 +680,6 @@ Status Pager::FreePage(WriteTxnState* txn, PageId id) {
 }
 
 Status Pager::CommitWrite(std::unique_ptr<WriteTxnState> txn) {
-  if (txn->finished_) {
-    return Status::InvalidArgument("transaction already finished");
-  }
-  txn->finished_ = true;
   Status result = Status::OK();
   uint64_t commit_seq = 0;
   bool committed = false;
@@ -728,20 +712,20 @@ Status Pager::CommitWrite(std::unique_ptr<WriteTxnState> txn) {
       // *not* issued here: with sync_on_commit the durability wait happens
       // after the writer slot is released (group commit below), so the
       // next committer can append while this one's fsync is in flight and
-      // one leader sync covers the whole batch. With commit pipelining the
-      // *write* is deferred the same way — the frames are staged in memory
-      // and the group-commit leader lands every waiting commit with one
-      // contiguous WAL write before its shared fsync, amortizing write
-      // syscalls across the group exactly like fsyncs. The frames become
+      // one leader sync covers the whole batch. The *write* is deferred
+      // the same way — the frames are staged in memory and the
+      // group-commit leader lands every waiting commit with one contiguous
+      // WAL write before its shared fsync, amortizing write syscalls
+      // across the group exactly like fsyncs. The frames become
       // visible in two ordered steps: the WAL publishes its index (under
       // its own lock), then the new horizon is published below; readers at
       // older snapshots filter the new frames out by commit_seq either way.
-      const bool staged = options_.commit_pipeline && options_.sync_on_commit;
       uint64_t first_frame = 0;
-      result = wal_->AppendCommit(
-          frames, commit_seq,
-          staged ? Wal::AppendMode::kStaged : Wal::AppendMode::kWrite,
-          &first_frame);
+      result = wal_->AppendCommit(frames, commit_seq,
+                                  options_.sync_on_commit
+                                      ? Wal::AppendMode::kStaged
+                                      : Wal::AppendMode::kWrite,
+                                  &first_frame);
       if (result.ok()) {
         committed = true;
         {
@@ -760,11 +744,7 @@ Status Pager::CommitWrite(std::unique_ptr<WriteTxnState> txn) {
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    writer_active_ = false;
-  }
-  writer_cv_.notify_one();
+  txn.reset();  // releases the writer slot
 
   if (committed && result.ok() && options_.sync_on_commit) {
     // Group commit: the commit is already visible (published above) but is
@@ -777,13 +757,13 @@ Status Pager::CommitWrite(std::unique_ptr<WriteTxnState> txn) {
   if (committed && result.ok()) {
     MaybeCheckpointAfterCommit();
   }
-  // An out-of-space commit failed cleanly: the non-pipelined WAL append
+  // An out-of-space commit failed cleanly: the direct WAL append
   // truncates its torn tail before returning, so nothing was published
   // and recovery cannot replay it. Flip into read-only degraded mode; the
   // next BeginWrite probes for space and re-enables writes when it
-  // returns. (A *pipelined* flush failure is different — those commits
-  // were already published — and keeps the sticky fsync-poison rule; see
-  // WaitForDurable.)
+  // returns. (A failed flush of *staged* frames is different — those
+  // commits were already published — and keeps the sticky fsync-poison
+  // rule; see WaitForDurable.)
   return NoteWriteError(std::move(result));
 }
 
@@ -810,7 +790,7 @@ Status Pager::WaitForDurable(uint64_t commit_seq) {
   }
   // Leader: one flush + fsync covers every commit fully published by now.
   // The coverage target is captured before unlocking; any commit at-or-
-  // below it was either written immediately (non-pipelined: publish
+  // below it was either written immediately (unsynced commits: publish
   // follows the write) or staged before the capture — and the FlushStaged
   // below drains everything staged so far in one contiguous write, so the
   // fdatasync covers it either way.
@@ -832,7 +812,7 @@ Status Pager::WaitForDurable(uint64_t commit_seq) {
     // earlier writes durable. A failed batched *flush* poisons the group
     // identically — none of its commits (leader or follower) is ever
     // acknowledged, which is exactly the per-submission failure isolation
-    // the pipelined path promises.
+    // group commit promises.
     commit_sync_failed_ = true;
   }
   commit_sync_cv_.notify_all();
@@ -860,20 +840,13 @@ void Pager::MaybeCheckpointAfterCommit() {
     // checkpoint so the WAL stops growing. Queue for the writer slot
     // (several committers may arrive here at once), then re-check — the
     // one ahead of us may already have reclaimed the log.
-    {
-      std::unique_lock<std::mutex> lock(writer_mutex_);
-      writer_cv_.wait(lock, [this] { return !writer_active_; });
-      writer_active_ = true;
-    }
     Status st = Status::OK();
-    if (wal_->frame_count() > options_.wal_backpressure_frames) {
-      st = NoteWriteError(CheckpointImpl(/*block_for_readers=*/true));
-    }
     {
-      std::lock_guard<std::mutex> lock(writer_mutex_);
-      writer_active_ = false;
+      const WriterSlot slot = WriterSlot::Acquire(&writer_gate_);
+      if (wal_->frame_count() > options_.wal_backpressure_frames) {
+        st = NoteWriteError(CheckpointImpl(slot, /*block_for_readers=*/true));
+      }
     }
-    writer_cv_.notify_one();
     if (!st.ok()) {
       MICRONN_LOG(kWarn) << "WAL backpressure checkpoint failed: "
                          << st.ToString();
@@ -901,10 +874,7 @@ void Pager::MaybeCheckpointAfterCommit() {
     // where only a wrap-around can reclaim the file, so fall through and
     // let the checkpoint take its wrap branch.
     const uint64_t count = wal_->frame_count();
-    if (!(options_.wal_wraparound && count > 0 &&
-          wal_->backfill_watermark() == count)) {
-      return;
-    }
+    if (count == 0 || wal_->backfill_watermark() != count) return;
   }
   Status st = Checkpoint();
   if (!st.ok() && !st.IsBusy()) {
@@ -912,54 +882,38 @@ void Pager::MaybeCheckpointAfterCommit() {
   }
 }
 
-void Pager::RollbackWrite(std::unique_ptr<WriteTxnState> txn) {
-  txn->finished_ = true;
-  txn->dirty_.clear();
-  {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    writer_active_ = false;
-  }
-  writer_cv_.notify_one();
-}
-
 Status Pager::Checkpoint() {
   // Exclude writers for the duration; readers are handled incrementally.
-  {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    if (writer_active_) {
-      return Status::Busy("writer active during checkpoint");
-    }
-    writer_active_ = true;
-  }
-  Status st = CheckpointImpl(/*block_for_readers=*/false);
-  {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    writer_active_ = false;
-  }
-  writer_cv_.notify_one();
-  return NoteWriteError(std::move(st));
+  MICRONN_ASSIGN_OR_RETURN(
+      WriterSlot slot,
+      WriterSlot::TryAcquire(&writer_gate_, "writer active during checkpoint"));
+  return NoteWriteError(CheckpointImpl(slot, /*block_for_readers=*/false));
 }
 
-Status Pager::CheckpointImpl(bool block_for_readers) {
-  // Caller holds the writer slot, so the WAL cannot grow and the commit
+Status Pager::PoisonCommitSync(Status st) {
+  {
+    std::lock_guard<std::mutex> lock(commit_sync_mutex_);
+    commit_sync_failed_ = true;
+  }
+  commit_sync_cv_.notify_all();
+  return st;
+}
+
+Status Pager::CheckpointImpl(const WriterSlot& /*slot*/,
+                             bool block_for_readers) {
+  // The writer slot is held, so the WAL cannot grow and the commit
   // horizon cannot move while this runs; only the reader registry changes
   // underneath us, and only in the safe direction (a horizon that rises).
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.wal_backpressure_wait_ms);
-  // Land any staged (pipelined) commits first: the backfill watermark only
+  // Land any staged commits first: the backfill watermark only
   // describes on-file frames, and with the writer excluded nothing new can
   // be staged for the rest of this checkpoint. A failed flush is a failed
   // WAL write with commits already published — same sticky rule as a
   // failed group fsync.
-  {
-    Status flush = wal_->FlushStaged();
-    if (!flush.ok()) {
-      std::lock_guard<std::mutex> lock(commit_sync_mutex_);
-      commit_sync_failed_ = true;
-      commit_sync_cv_.notify_all();
-      return NoteWriteError(std::move(flush));
-    }
+  if (Status flush = wal_->FlushStaged(); !flush.ok()) {
+    return NoteWriteError(PoisonCommitSync(std::move(flush)));
   }
   for (;;) {
     if (wal_->frame_count() == 0) {
@@ -986,14 +940,9 @@ Status Pager::CheckpointImpl(bool block_for_readers) {
       // watermark that records them as folded. A crash between any two
       // steps merely re-folds on the next checkpoint.
       const uint64_t synced_through = wal_->last_committed_seq();
-      Status wal_sync = wal_->Sync();
-      if (!wal_sync.ok()) {
-        // Same sticky rule as the group-commit leader: a failed WAL fsync
-        // leaves durability unknowable for this pager's lifetime.
-        std::lock_guard<std::mutex> lock(commit_sync_mutex_);
-        commit_sync_failed_ = true;
-        commit_sync_cv_.notify_all();
-        return wal_sync;
+      if (Status wal_sync = wal_->Sync(); !wal_sync.ok()) {
+        // Same sticky rule as the group-commit leader.
+        return PoisonCommitSync(std::move(wal_sync));
       }
       PublishDurable(synced_through);
       // Batched fold, the write-side twin of PrefetchPages: read the
@@ -1087,7 +1036,7 @@ Status Pager::CheckpointImpl(bool block_for_readers) {
           }
           return Status::OK();
         }
-        if (options_.wal_wraparound && wal_->frame_count() > 0 &&
+        if (wal_->frame_count() > 0 &&
             wal_->backfill_watermark() == wal_->frame_count()) {
           // Fully folded but reader snapshots keep the registry occupied:
           // the truncating reset above can never run (a rolling re-pin
@@ -1115,10 +1064,7 @@ Status Pager::CheckpointImpl(bool block_for_readers) {
             // Header write/fsync failure: the old generation is intact and
             // live, but WAL fsync state is now unknowable — same sticky
             // rule as every other failed WAL sync.
-            std::lock_guard<std::mutex> sync_lock(commit_sync_mutex_);
-            commit_sync_failed_ = true;
-            commit_sync_cv_.notify_all();
-            return wrap;
+            return PoisonCommitSync(std::move(wrap));
           }
           return Status::OK();
         }
@@ -1152,37 +1098,6 @@ Status Pager::CheckpointImpl(bool block_for_readers) {
   }
 }
 
-Status Pager::SyncWal() {
-  // Durability barrier: same protocol as the group-commit leader, minus
-  // the "already covered" fast path — the caller wants *everything
-  // published so far* durable, not one particular commit.
-  std::unique_lock<std::mutex> lock(commit_sync_mutex_);
-  while (commit_sync_in_flight_) {
-    commit_sync_cv_.wait(lock);
-  }
-  if (commit_sync_failed_) {
-    return Status::IOError(
-        "WAL fsync previously failed; durability unknown until the "
-        "database is reopened");
-  }
-  commit_sync_in_flight_ = true;
-  const uint64_t covers = wal_->last_committed_seq();
-  lock.unlock();
-  Status st = wal_->FlushStaged();
-  if (st.ok()) st = wal_->Sync();
-  lock.lock();
-  commit_sync_in_flight_ = false;
-  if (st.ok()) {
-    if (covers > wal_durable_seq_) {
-      wal_durable_seq_ = covers;
-    }
-  } else {
-    commit_sync_failed_ = true;
-  }
-  commit_sync_cv_.notify_all();
-  return NoteWriteError(std::move(st));
-}
-
 Status Pager::Scrub(ScrubReport* report) {
   // One call, whole file: drive the incremental machinery with an
   // unbounded batch. If a background pass is mid-file this finishes it
@@ -1210,39 +1125,32 @@ Status Pager::ScrubStep(uint32_t max_pages, bool* done) {
     return Status::InvalidArgument("scrub step of zero pages");
   }
   std::lock_guard<std::mutex> scrub_lock(scrub_mutex_);
-  {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    if (writer_active_) {
-      return Status::Busy("writer active during scrub");
-    }
-    writer_active_ = true;
-  }
-  Status st = Status::OK();
-  if (!scrub_.active) {
-    // Pass start. Fold everything foldable first: the WAL's view of the
-    // world lands in the main file (rewriting — i.e. repairing — any page
-    // whose main-file copy went bad while a frame still holds it) and
-    // every folded page gets a fresh slot. The walk then verifies what
-    // remains.
-    scrub_.active = true;
-    scrub_.next_page = 0;
-    scrub_.pages_verified = 0;
-    scrub_.bytes_verified = 0;
-    scrub_.in_progress = ScrubReport{};
-    scrub_was_legacy_ = header_version_.load(std::memory_order_acquire) <
-                        DbHeader::kFormatWithPageChecksums;
-    st = CheckpointImpl(/*block_for_readers=*/false);
-  }
   uint32_t walked = 0;
   bool pass_done = false;
-  if (st.ok()) {
-    st = ScrubStepLocked(max_pages, &walked, &pass_done);
-  }
+  Status st = Status::OK();
   {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    writer_active_ = false;
+    MICRONN_ASSIGN_OR_RETURN(
+        WriterSlot slot,
+        WriterSlot::TryAcquire(&writer_gate_, "writer active during scrub"));
+    if (!scrub_.active) {
+      // Pass start. Fold everything foldable first: the WAL's view of
+      // the world lands in the main file (rewriting — i.e. repairing —
+      // any page whose main-file copy went bad while a frame still holds
+      // it) and every folded page gets a fresh slot. The walk then
+      // verifies what remains.
+      scrub_.active = true;
+      scrub_.next_page = 0;
+      scrub_.pages_verified = 0;
+      scrub_.bytes_verified = 0;
+      scrub_.in_progress = ScrubReport{};
+      scrub_was_legacy_ = header_version_.load(std::memory_order_acquire) <
+                          DbHeader::kFormatWithPageChecksums;
+      st = CheckpointImpl(slot, /*block_for_readers=*/false);
+    }
+    if (st.ok()) {
+      st = ScrubStepLocked(slot, max_pages, &walked, &pass_done);
+    }
   }
-  writer_cv_.notify_one();
   if (walked > 0 || pass_done) {
     ++scrub_.steps;
     scrub_.max_step_pages = std::max(scrub_.max_step_pages, walked);
@@ -1270,13 +1178,9 @@ Status Pager::ScrubStep(uint32_t max_pages, bool* done) {
   if (!fully_covered) return Status::OK();
   if (scrub_was_legacy_) {
     MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTxnState> txn, BeginWrite());
-    Result<Page*> header = GetMutablePage(txn.get(), 0);
-    if (!header.ok()) {
-      RollbackWrite(std::move(txn));
-      return header.status();
-    }
-    header.value()->WriteU32(DbHeader::kOffVersion,
-                             DbHeader::kFormatWithPageChecksums);
+    MICRONN_ASSIGN_OR_RETURN(Page * header, GetMutablePage(txn.get(), 0));
+    header->WriteU32(DbHeader::kOffVersion,
+                     DbHeader::kFormatWithPageChecksums);
     MICRONN_RETURN_IF_ERROR(CommitWrite(std::move(txn)));
     header_version_.store(DbHeader::kFormatWithPageChecksums,
                           std::memory_order_release);
@@ -1288,9 +1192,9 @@ Status Pager::ScrubStep(uint32_t max_pages, bool* done) {
   return Status::OK();
 }
 
-Status Pager::ScrubStepLocked(uint32_t max_pages, uint32_t* walked,
-                              bool* pass_done) {
-  // Caller holds the writer slot: no fold can run concurrently, no commit
+Status Pager::ScrubStepLocked(const WriterSlot& /*slot*/, uint32_t max_pages,
+                              uint32_t* walked, bool* pass_done) {
+  // The writer slot is held: no fold can run concurrently, no commit
   // can add frames, and rewriting a main-file page below is safe — every
   // reader whose snapshot could observe it resolves the page's (still
   // indexed) WAL frame instead, by the same horizon argument the

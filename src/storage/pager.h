@@ -38,6 +38,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -63,13 +64,16 @@ struct PagerOptions {
   size_t cache_bytes = 8ull << 20;
 
   /// fdatasync the WAL before a commit is acknowledged (full durability;
-  /// default false). Concurrent committers share fsyncs via group commit:
-  /// one leader syncs the log for every commit appended so far, followers
-  /// whose commit the sync covered return without issuing their own.
-  /// When false, durability is deferred to checkpoints — SQLite's
-  /// `synchronous=NORMAL`-in-WAL-mode behaviour; atomicity and isolation
-  /// are unaffected, and a crash loses at most the un-checkpointed WAL
-  /// suffix.
+  /// default false). Concurrent committers share writes and fsyncs via
+  /// group commit: each stages its serialized frames in memory and
+  /// publishes at once; one leader lands every staged commit with one
+  /// contiguous WAL write and one fdatasync, and followers whose commit
+  /// that covered return without I/O of their own. A failed batched write
+  /// or sync fails the acknowledgement of every commit it covered, sticky
+  /// until reopen. When false, durability is deferred to checkpoints —
+  /// SQLite's `synchronous=NORMAL`-in-WAL-mode behaviour; atomicity and
+  /// isolation are unaffected, and a crash loses at most the
+  /// un-checkpointed WAL suffix.
   bool sync_on_commit = false;
 
   /// Best-effort checkpoint after a commit leaves the WAL with more than
@@ -102,27 +106,6 @@ struct PagerOptions {
   /// images and query results are bit-identical across backends; only
   /// the syscall pattern of batched reads (Pager::PrefetchPages) differs.
   IoBackend io_backend = IoBackend::kAuto;
-
-  /// Pipeline commit appends through the group-commit leader (default
-  /// true; only takes effect with sync_on_commit). Committers stage their
-  /// serialized frames in memory and publish immediately; the leader lands
-  /// every staged commit with ONE contiguous WAL write before the shared
-  /// fdatasync, so both write syscalls and fsyncs amortize across the
-  /// group. Durability guarantees are identical — no commit is
-  /// acknowledged before its frames are written AND synced; a failed
-  /// batched write fails the whole group's acknowledgement exactly like a
-  /// failed group fsync (sticky until reopen). Off-switch for bisection.
-  bool commit_pipeline = true;
-
-  /// Reclaim the WAL by wrapping to slot 1 when it is fully folded but
-  /// reader snapshots keep the registry occupied (default true). Without
-  /// it, a workload that always holds some snapshot (e.g. rolling
-  /// re-pins) never satisfies the "no readers" precondition of the
-  /// truncating reset and the WAL grows without bound; with it, WAL size
-  /// is O(frames since the last full fold). Uses WAL format v3 frame
-  /// epochs (see docs/DURABILITY.md); v2 files upgrade transparently.
-  /// Off-switch for bisection.
-  bool wal_wraparound = true;
 
   /// Verify the CRC32C of every page read from the main file against the
   /// sidecar checksum file (default true; see docs/DURABILITY.md
@@ -192,20 +175,52 @@ struct DbHeader {
 
 class Pager;
 
-/// Private state of an open write transaction. Created by
-/// Pager::BeginWrite, finished by CommitWrite/RollbackWrite. Not
-/// thread-safe; a write transaction belongs to one thread.
-class WriteTxnState {
+/// A held claim on the pager's single writer slot. Write transactions,
+/// checkpoints, scrub steps and the degraded-mode space probe all run
+/// under one, so at most one of them mutates the files at a time; helpers
+/// that need the slot held take a `const WriterSlot&`. Move-only; the
+/// destructor releases the slot and wakes one waiter.
+class WriterSlot {
  public:
-  uint64_t base_seq() const { return base_seq_; }
-  size_t dirty_page_count() const { return dirty_.size(); }
+  /// The slot's shared state, one per pager. Only WriterSlot reads or
+  /// writes it.
+  class Gate {
+   private:
+    friend class WriterSlot;
+    std::mutex writer_mutex_;
+    std::condition_variable writer_cv_;
+    bool writer_active_ = false;
+  };
+
+  /// Blocks until the slot is free.
+  static WriterSlot Acquire(Gate* gate);
+  /// Busy (with `what` as the message) if the slot is held.
+  static Result<WriterSlot> TryAcquire(Gate* gate, const char* what);
+
+  WriterSlot(WriterSlot&& other) noexcept
+      : gate_(std::exchange(other.gate_, nullptr)) {}
+  WriterSlot& operator=(WriterSlot&&) = delete;
+  ~WriterSlot();
 
  private:
+  explicit WriterSlot(Gate* gate) : gate_(gate) {}
+
+  Gate* gate_;  // null once moved from
+};
+
+/// Private state of an open write transaction. Created by
+/// Pager::BeginWrite and consumed by CommitWrite; dropping it uncommitted
+/// discards its pages and releases the writer slot it owns. Not
+/// thread-safe; a write transaction belongs to one thread.
+class WriteTxnState {
+ private:
   friend class Pager;
+  explicit WriteTxnState(WriterSlot slot) : slot_(std::move(slot)) {}
+
+  WriterSlot slot_;
   uint64_t base_seq_ = 0;     // snapshot the writer reads through
   uint32_t page_count_ = 0;   // file page count including txn allocations
   std::map<PageId, std::unique_ptr<Page>> dirty_;
-  bool finished_ = false;
 };
 
 /// Abstract page access for B+Tree code: implemented by read snapshots and
@@ -373,10 +388,8 @@ class Pager {
   /// Commits: appends dirty pages to the WAL, publishes the new snapshot,
   /// releases the writer slot, then — with sync_on_commit — waits for a
   /// (possibly shared) WAL fsync to cover the commit before returning.
-  /// The state object is consumed.
+  /// The state object is consumed. (To roll back, drop the state.)
   Status CommitWrite(std::unique_ptr<WriteTxnState> txn);
-  /// Discards the transaction and releases the writer slot.
-  void RollbackWrite(std::unique_ptr<WriteTxnState> txn);
 
   // --- Maintenance ---
 
@@ -387,13 +400,6 @@ class Pager {
   /// *writer* yields Busy. The WAL file is truncated (reset) only when
   /// every frame is folded and no reader is registered.
   Status Checkpoint();
-
-  /// Durability barrier without a checkpoint: flushes staged (pipelined)
-  /// WAL frames and fsyncs the log, so every commit acknowledged so far —
-  /// and every unsynced commit published so far — is crash-durable on
-  /// return. Respects the group-commit gate (a concurrent leader's sync
-  /// may satisfy it) and the sticky failed-sync rule.
-  Status SyncWal();
 
   /// Walks every main-file page verifying its checksum: backfills absent
   /// slots (the lazy v3->v4 upgrade), re-folds corrupt pages whose content
@@ -436,7 +442,6 @@ class Pager {
 
   uint64_t last_committed_seq() const;
   uint32_t page_count() const;
-  size_t cache_bytes_in_use() const { return cache_.size_bytes(); }
   /// WAL observability for tests and monitoring.
   uint64_t wal_frame_count() const { return wal_->frame_count(); }
   uint64_t wal_backfill_watermark() const {
@@ -493,22 +498,29 @@ class Pager {
   // Flips the pager into read-only degraded mode when `st` is
   // ResourceExhausted (and the knob allows); returns `st` unchanged.
   Status NoteWriteError(Status st);
-  // With the writer slot held: in degraded mode, probes the filesystem
-  // for free space (one page written past EOF, truncated back) and clears
-  // the flag on success; ResourceExhausted while space is still missing.
-  Status ProbeDegraded();
-  // One bounded slice of the scrub's verification walk; caller holds the
-  // writer slot AND scrub_mutex_. Walks at most `max_pages` pages from
-  // scrub_.next_page, advancing the cursor and accumulating into
-  // scrub_.in_progress; `*walked` receives the pages visited this step
-  // and `*pass_done` whether the cursor reached the end of the file.
-  Status ScrubStepLocked(uint32_t max_pages, uint32_t* walked,
-                         bool* pass_done);
-  // Checkpoint body; caller holds the writer slot. Folds up to the reader
-  // horizon; when `block_for_readers` is set, additionally waits (bounded
-  // by wal_backpressure_wait_ms) for the registry to drain so the fold can
+  // The body BeginWrite and TryBeginWrite share once they hold the slot:
+  // the degraded-mode probe, then a transaction at the current horizon.
+  Result<std::unique_ptr<WriteTxnState>> StartWrite(WriterSlot slot);
+  // In degraded mode, probes the filesystem for free space (one page
+  // written past EOF, truncated back) and clears the flag on success;
+  // ResourceExhausted while space is still missing.
+  Status ProbeDegraded(const WriterSlot& slot);
+  // One bounded slice of the scrub's verification walk; caller also holds
+  // scrub_mutex_. Walks at most `max_pages` pages from scrub_.next_page,
+  // advancing the cursor and accumulating into scrub_.in_progress;
+  // `*walked` receives the pages visited this step and `*pass_done`
+  // whether the cursor reached the end of the file.
+  Status ScrubStepLocked(const WriterSlot& slot, uint32_t max_pages,
+                         uint32_t* walked, bool* pass_done);
+  // Checkpoint body. Folds up to the reader horizon; when
+  // `block_for_readers` is set, additionally waits (bounded by
+  // wal_backpressure_wait_ms) for the registry to drain so the fold can
   // complete and the WAL can be reset.
-  Status CheckpointImpl(bool block_for_readers);
+  Status CheckpointImpl(const WriterSlot& slot, bool block_for_readers);
+  // A WAL write or fsync failed with commits already published: marks
+  // durability unknowable for this pager's lifetime (the sticky rule) and
+  // wakes group-commit waiters. Returns `st`.
+  Status PoisonCommitSync(Status st);
   // Post-commit WAL maintenance: backpressure (blocking) or best-effort
   // auto-checkpoint, depending on the frame count.
   void MaybeCheckpointAfterCommit();
@@ -536,9 +548,8 @@ class Pager {
   std::atomic<bool> strict_checksums_{false};
 
   // ENOSPC degraded read-only mode. Cause and entry time feed the health
-  // report; the probe backoff fields are only touched with the writer
-  // slot held (ProbeDegraded's precondition), so they need no lock of
-  // their own.
+  // report; the probe backoff fields are only touched under the writer
+  // slot (ProbeDegraded's parameter), so they need no lock of their own.
   std::atomic<bool> degraded_{false};
   mutable std::mutex degraded_info_mutex_;
   std::string degraded_cause_;
@@ -591,10 +602,8 @@ class Pager {
   // checkpoints wait on it.
   std::condition_variable readers_cv_;
 
-  // Writer exclusion.
-  std::mutex writer_mutex_;
-  std::condition_variable writer_cv_;
-  bool writer_active_ = false;
+  // Writer exclusion (see WriterSlot).
+  WriterSlot::Gate writer_gate_;
 
   // Group-commit gate. Commits publish their frames and release the
   // writer slot *before* the durability fsync, so the next committer can

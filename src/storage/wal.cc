@@ -331,11 +331,11 @@ Status Wal::AppendCommit(
   const uint64_t base = frame_count_.load(std::memory_order_relaxed);
 
   if (mode == AppendMode::kStaged) {
-    // Commit pipelining: park the serialized frames; the group-commit
-    // leader (or a checkpoint) lands every staged commit with one
-    // contiguous FlushStaged write. The frames are published below and
-    // immediately readable — from memory — so visibility is identical to
-    // an immediate append; only durability is deferred to the flush.
+    // Group commit: park the serialized frames; the leader (or a
+    // checkpoint) lands every staged commit with one contiguous
+    // FlushStaged write. The frames are published below and immediately
+    // readable — from memory — so visibility is identical to an immediate
+    // append; only durability is deferred to the flush.
     {
       std::lock_guard<std::mutex> lock(staged_mutex_);
       if (staged_buf_.empty()) {
@@ -350,46 +350,24 @@ Status Wal::AppendCommit(
     return Status::OK();
   }
 
-  // The file write and the (potentially slow) commit fsync run with no
-  // lock: concurrent readers keep resolving and reading published frames.
-  // The unpublished tail is invisible to them until the index update
-  // below. Placement is positional at the frame-count offset — never
-  // size-based append — so frame numbers stay correct when a failed
-  // commit left an orphaned tail, and so a wrapped log overwrites the
-  // stale frames of the previous generation slot by slot.
-  if (dirty_tail_.load(std::memory_order_relaxed)) {
-    // A previous failed commit's rollback truncate also failed, leaving
-    // unknown bytes past the published frames. They must be gone before
-    // this commit lands: a *smaller* commit would otherwise leave orphan
-    // frames beyond its own, which restart recovery could stitch into a
-    // bogus extra commit. Refusing to commit until the truncate succeeds
-    // turns that silent-corruption path into a clean error.
-    MICRONN_RETURN_IF_ERROR(file_->Truncate(FrameOffset(base + 1)));
-    dirty_tail_.store(false, std::memory_order_relaxed);
-  }
+  // The file write runs with no lock: concurrent readers keep resolving
+  // and reading published frames. The unpublished tail is invisible to
+  // them until the index update below. Placement is positional at the
+  // frame-count offset — never size-based append — so frame numbers stay
+  // correct when a failed commit left an orphaned tail, and so a wrapped
+  // log overwrites the stale frames of the previous generation slot by
+  // slot.
+  MICRONN_RETURN_IF_ERROR(ClearDirtyTail(base));
   Status io = file_->WriteAt(FrameOffset(base + 1), buf.data(), buf.size());
-  if (io.ok()) {
-    if (stats_ != nullptr) {
-      stats_->wal_writes.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (mode == AppendMode::kWriteSync) {
-      io = Sync();
-    }
-  }
   if (!io.ok()) {
     // Best-effort rollback so restart recovery does not replay a commit
     // that was reported failed (its frames carry valid checksums and a
-    // commit marker); if this truncate fails, the dirty-tail guard above
-    // retries it before any later commit. The crash-before-any-retry
-    // exposure — a failed-commit fsync that still proves durable — is the
-    // same one SQLite has.
-    Status rollback = file_->Truncate(FrameOffset(base + 1));
-    if (!rollback.ok()) {
-      dirty_tail_.store(true, std::memory_order_relaxed);
-      MICRONN_LOG(kWarn) << "WAL rollback after failed commit write: "
-                         << rollback.ToString();
-    }
+    // commit marker).
+    RollbackTail(base, "commit write");
     return io;
+  }
+  if (stats_ != nullptr) {
+    stats_->wal_writes.fetch_add(1, std::memory_order_relaxed);
   }
   if (first_frame != nullptr) {
     *first_frame = base + 1;
@@ -420,11 +398,7 @@ Status Wal::FlushStaged() {
   }
   const uint64_t base = flush_base_;
   const uint64_t frames = flushing_buf_.size() / kFrameSize;
-  Status io = Status::OK();
-  if (dirty_tail_.load(std::memory_order_relaxed)) {
-    io = file_->Truncate(FrameOffset(base + 1));
-    if (io.ok()) dirty_tail_.store(false, std::memory_order_relaxed);
-  }
+  Status io = ClearDirtyTail(base);
   if (io.ok()) {
     // One contiguous positional write, routed through the batched write
     // path so the uring backend lands it via the ring (and a retry after
@@ -438,19 +412,13 @@ Status Wal::FlushStaged() {
     }
   }
   if (!io.ok()) {
-    // The write may have torn: truncate the unknown bytes away
-    // (best-effort; the dirty-tail guard retries otherwise), then re-park
-    // the frames at the front of the staged buffer. They stay readable in
-    // memory — they are *published* commits — and the next flush retries
-    // them; whether any of them is ever *acknowledged* is the caller's
-    // policy (the pager stops acking synced commits, same as after a
-    // failed fsync).
-    Status rollback = file_->Truncate(FrameOffset(base + 1));
-    if (!rollback.ok()) {
-      dirty_tail_.store(true, std::memory_order_relaxed);
-      MICRONN_LOG(kWarn) << "WAL rollback after failed staged flush: "
-                         << rollback.ToString();
-    }
+    // The write may have torn: truncate the unknown bytes away, then
+    // re-park the frames at the front of the staged buffer. They stay
+    // readable in memory — they are *published* commits — and the next
+    // flush retries them; whether any of them is ever *acknowledged* is
+    // the caller's policy (the pager stops acking synced commits, same as
+    // after a failed fsync).
+    RollbackTail(base, "staged flush");
     std::lock_guard<std::mutex> lock(staged_mutex_);
     flushing_buf_.append(staged_buf_);
     staged_buf_ = std::move(flushing_buf_);
@@ -464,6 +432,31 @@ Status Wal::FlushStaged() {
     flushing_buf_.clear();
   }
   return Status::OK();
+}
+
+Status Wal::ClearDirtyTail(uint64_t base) {
+  // A previous failed write's rollback truncate also failed, leaving
+  // unknown bytes past the published frames. They must be gone before the
+  // next write lands: a *smaller* commit would otherwise leave orphan
+  // frames beyond its own, which restart recovery could stitch into a
+  // bogus extra commit. Refusing to write until the truncate succeeds
+  // turns that silent-corruption path into a clean error.
+  if (!dirty_tail_.load(std::memory_order_relaxed)) return Status::OK();
+  MICRONN_RETURN_IF_ERROR(file_->Truncate(FrameOffset(base + 1)));
+  dirty_tail_.store(false, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+void Wal::RollbackTail(uint64_t base, const char* what) {
+  // Best-effort: if this truncate fails, ClearDirtyTail retries it before
+  // any later write. The crash-before-any-retry exposure — a failed write
+  // that still proves durable — is the same one SQLite has.
+  Status rollback = file_->Truncate(FrameOffset(base + 1));
+  if (!rollback.ok()) {
+    dirty_tail_.store(true, std::memory_order_relaxed);
+    MICRONN_LOG(kWarn) << "WAL rollback after failed " << what << ": "
+                       << rollback.ToString();
+  }
 }
 
 std::optional<uint64_t> Wal::FindFrame(PageId page,
@@ -507,8 +500,8 @@ Status Wal::ReadFrame(uint64_t frame_no, Page* out,
     return Status::Corruption("WAL frame " + std::to_string(frame_no) +
                               " out of range");
   }
-  // Staged (pipelined) frames are served from memory; everything else is
-  // a positional pread of an immutable, already-flushed frame. The
+  // Staged frames are served from memory; everything else is a
+  // positional pread of an immutable, already-flushed frame. The
   // flushed cursor only ever advances within a generation, so a stale-low
   // read of it merely sends us through the staged check, which falls
   // through to the pread when the flush already landed the frame. Staged
@@ -655,7 +648,7 @@ Status Wal::AdvanceBackfillWatermark(uint64_t frames, uint64_t seq) {
   }
   if (frames > flushed_frames_.load(std::memory_order_acquire)) {
     // The watermark describes frames that are durably on file; staged
-    // (pipelined) frames must be flushed before they can be folded.
+    // frames must be flushed before they can be folded.
     return Status::InvalidArgument("backfill watermark beyond flushed frames");
   }
   if (frames == current) return Status::OK();

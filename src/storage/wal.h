@@ -11,7 +11,7 @@
 // where it left off, and recovery skips re-indexing the folded prefix.
 //
 // Format v3 adds two things on top of that:
-//   - *Pipelined commits*: AppendCommit can stage a commit's serialized
+//   - *Staged commits*: AppendCommit can stage a commit's serialized
 //     frames in memory instead of writing them; the group-commit leader
 //     later lands every staged commit with one contiguous FlushStaged
 //     write before the shared fdatasync (batched appends, not just
@@ -86,9 +86,8 @@ class Wal {
 
   /// How AppendCommit materializes a commit's frames.
   enum class AppendMode {
-    kWrite,      // one positional write now, no fsync (the default path)
-    kWriteSync,  // write now and fdatasync before returning
-    kStaged,     // publish in memory only; FlushStaged() writes them later
+    kWrite,   // one positional write now, no fsync
+    kStaged,  // publish in memory only; FlushStaged() writes them later
   };
 
   /// Opens (creating if missing) the WAL at `path` and recovers its index:
@@ -115,9 +114,9 @@ class Wal {
   /// pages[i] is frame `*first_frame + i`. Single writer (serialized by
   /// the pager).
   ///
-  /// kWrite/kWriteSync: the file write (and fsync) happen before the index
-  /// publish, so concurrent FindFrame callers only ever see fully written
-  /// frames. Frames are placed positionally at the frame-count offset (not
+  /// kWrite: the file write happens before the index publish, so
+  /// concurrent FindFrame callers only ever see fully written frames.
+  /// Frames are placed positionally at the frame-count offset (not
   /// appended at the file size) — mandatory once the log has wrapped,
   /// where stale frames of the previous generation legitimately extend the
   /// file past the write offset and are simply overwritten. On failure the
@@ -125,28 +124,20 @@ class Wal {
   /// failed commit; if that truncate also fails, the orphan is remembered
   /// and re-truncated before the next write lands.
   ///
-  /// kStaged (commit pipelining): no file I/O at all — the serialized
-  /// frames are parked in the staged buffer and the index is published
-  /// immediately (reads of the new frames are served from memory). A later
-  /// FlushStaged() — the group-commit leader, a checkpoint, or an explicit
-  /// durability barrier — lands every staged commit with one contiguous
-  /// write. Never combine kStaged commits with a crash-consistency
-  /// expectation short of that flush: until it runs, the frames exist only
-  /// in this process.
+  /// kStaged (group commit with sync_on_commit): no file I/O at all — the
+  /// serialized frames are parked in the staged buffer and the index is
+  /// published immediately (reads of the new frames are served from
+  /// memory). A later FlushStaged() — the group-commit leader or a
+  /// checkpoint — lands every staged commit with one contiguous write.
+  /// Never combine kStaged commits with a crash-consistency expectation
+  /// short of that flush: until it runs, the frames exist only in this
+  /// process.
   Status AppendCommit(
       const std::vector<std::pair<PageId, const Page*>>& pages,
       uint64_t commit_seq, AppendMode mode, uint64_t* first_frame = nullptr);
-  /// Back-compat shim: sync=false -> kWrite, sync=true -> kWriteSync.
-  Status AppendCommit(
-      const std::vector<std::pair<PageId, const Page*>>& pages,
-      uint64_t commit_seq, bool sync, uint64_t* first_frame = nullptr) {
-    return AppendCommit(pages, commit_seq,
-                        sync ? AppendMode::kWriteSync : AppendMode::kWrite,
-                        first_frame);
-  }
 
-  /// Writes every staged (pipelined) commit to the file as one contiguous
-  /// positional write, in commit order. No-op when nothing is staged.
+  /// Writes every staged commit to the file as one contiguous positional
+  /// write, in commit order. No-op when nothing is staged.
   /// Serialized internally; safe to call from the group-commit leader
   /// concurrently with new commits staging more frames (those simply go
   /// into the next flush). On failure the frames are re-parked (still
@@ -263,11 +254,6 @@ class Wal {
   }
   /// Wrap-around generation: 0 at creation, +1 per WrapRestart.
   uint32_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-  /// Frames materialized in the file (<= frame_count(); the gap is the
-  /// staged, not-yet-flushed pipelined commits).
-  uint64_t flushed_frames() const {
-    return flushed_frames_.load(std::memory_order_acquire);
-  }
 
  private:
   Wal(std::unique_ptr<FileHandle> file, IoStats* stats)
@@ -284,6 +270,13 @@ class Wal {
   void PublishCommit(
       const std::vector<std::pair<PageId, const Page*>>& pages,
       uint64_t commit_seq, uint64_t base);
+  // Before a write at frame `base + 1`: truncates away the unknown bytes a
+  // failed rollback left there (dirty_tail_), if any.
+  Status ClearDirtyTail(uint64_t base);
+  // After a failed write at frame `base + 1`: truncates the possibly torn
+  // tail, or arms dirty_tail_ (and warns, naming `what` failed) if that
+  // truncate fails too.
+  void RollbackTail(uint64_t base, const char* what);
 
   std::unique_ptr<FileHandle> file_;
   IoStats* stats_;
@@ -292,8 +285,9 @@ class Wal {
   std::atomic<uint64_t> backfill_watermark_{0};  // frames folded into main
   std::atomic<uint64_t> backfill_seq_{0};        // seq folded through
   std::atomic<uint32_t> epoch_{0};               // wrap-around generation
-  // Frames whose bytes are in the file (never > frame_count_). Advanced by
-  // immediate appends and successful flushes; reset by Reset/WrapRestart.
+  // Frames whose bytes are in the file (never > frame_count_; the gap is
+  // the staged commits). Advanced by immediate appends and successful
+  // flushes; reset by Reset/WrapRestart.
   std::atomic<uint64_t> flushed_frames_{0};
   // A failed write's rollback truncate also failed: unknown bytes sit past
   // flushed_frames_ and must be truncated away before the next write lands
@@ -316,7 +310,7 @@ class Wal {
   // Frame address space pin (see PinFrames). Exclusive holders:
   // Reset/WrapRestart only.
   mutable std::shared_mutex frames_mutex_;
-  // Pipelined-commit staging. staged_mutex_ guards the two buffers and
+  // Staged-commit buffers. staged_mutex_ guards the two buffers and
   // their base frame numbers; flush_io_mutex_ serializes FlushStaged
   // bodies so exactly one flush write is in flight, with the buffer moved
   // to flushing_buf_ (still readable) for the unlocked write's duration.

@@ -32,7 +32,7 @@ class BTreeTest : public ::testing::Test {
   }
   void TearDown() override {
     view_.reset();
-    if (txn_) pager_->RollbackWrite(std::move(txn_));
+    txn_.reset();  // rolls back, releasing the writer slot
     pager_.reset();
     std::filesystem::remove_all(dir_);
   }
@@ -536,7 +536,7 @@ TEST_P(BTreeModelTest, MatchesStdMap) {
       ++scanned;
     }
     EXPECT_EQ(scanned, model.size());
-    pager->RollbackWrite(std::move(txn));
+    txn.reset();
   }
   std::filesystem::remove_all(dir);
 }

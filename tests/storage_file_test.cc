@@ -16,6 +16,8 @@
 namespace micronn {
 namespace {
 
+constexpr Wal::AppendMode kWrite = Wal::AppendMode::kWrite;
+
 class TempDir : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -288,7 +290,7 @@ TEST_F(WalTest, AppendAndLookup) {
   p2.Zero();
   p1.WriteU32(0, 111);
   p2.WriteU32(0, 222);
-  ASSERT_TRUE(wal->AppendCommit({{5, &p1}, {9, &p2}}, 1, false).ok());
+  ASSERT_TRUE(wal->AppendCommit({{5, &p1}, {9, &p2}}, 1, kWrite).ok());
   EXPECT_EQ(wal->frame_count(), 2u);
   EXPECT_EQ(wal->last_committed_seq(), 1u);
   ASSERT_TRUE(wal->FindFrame(5, 1).has_value());
@@ -306,8 +308,8 @@ TEST_F(WalTest, SnapshotSeesOnlyItsVersion) {
   v2.Zero();
   v1.WriteU32(0, 1);
   v2.WriteU32(0, 2);
-  ASSERT_TRUE(wal->AppendCommit({{5, &v1}}, 1, false).ok());
-  ASSERT_TRUE(wal->AppendCommit({{5, &v2}}, 2, false).ok());
+  ASSERT_TRUE(wal->AppendCommit({{5, &v1}}, 1, kWrite).ok());
+  ASSERT_TRUE(wal->AppendCommit({{5, &v2}}, 2, kWrite).ok());
   Page out;
   ASSERT_TRUE(wal->ReadFrame(*wal->FindFrame(5, 1), &out).ok());
   EXPECT_EQ(out.ReadU32(0), 1u);
@@ -322,7 +324,8 @@ TEST_F(WalTest, RecoverySurvivesReopen) {
     Page p;
     p.Zero();
     p.WriteU32(0, 7);
-    ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 1, true).ok());
+    ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 1, kWrite).ok());
+    ASSERT_TRUE(wal->Sync().ok());
   }
   auto wal = Wal::Open(Path("wal"), &stats).value();
   EXPECT_EQ(wal->frame_count(), 1u);
@@ -338,8 +341,8 @@ TEST_F(WalTest, TornTailDiscarded) {
     auto wal = Wal::Open(Path("wal"), &stats).value();
     Page p;
     p.Zero();
-    ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 1, true).ok());
-    ASSERT_TRUE(wal->AppendCommit({{4, &p}, {5, &p}}, 2, true).ok());
+    ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 1, kWrite).ok());
+    ASSERT_TRUE(wal->AppendCommit({{4, &p}, {5, &p}}, 2, kWrite).ok());
   }
   // Corrupt the tail: truncate into the middle of the last commit.
   {
@@ -358,8 +361,8 @@ TEST_F(WalTest, CorruptChecksumStopsRecovery) {
     auto wal = Wal::Open(Path("wal"), &stats).value();
     Page p;
     p.Zero();
-    ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 1, true).ok());
-    ASSERT_TRUE(wal->AppendCommit({{4, &p}}, 2, true).ok());
+    ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 1, kWrite).ok());
+    ASSERT_TRUE(wal->AppendCommit({{4, &p}}, 2, kWrite).ok());
   }
   {
     auto file = File::Open(Path("wal")).value();
@@ -432,7 +435,7 @@ TEST_F(PagerTest, RollbackDiscardsChanges) {
   {
     auto txn = pager->BeginWrite().value();
     pager->GetMutablePage(txn.get(), pid).value()->WriteU32(0, 99);
-    pager->RollbackWrite(std::move(txn));
+    txn.reset();  // dropping the state rolls back
   }
   const uint64_t seq = pager->BeginSnapshot();
   EXPECT_EQ(pager->ReadPage(pid, seq).value()->ReadU32(0), 1u);
@@ -445,8 +448,17 @@ TEST_F(PagerTest, TryBeginWriteReportsBusy) {
   auto second = pager->TryBeginWrite();
   EXPECT_FALSE(second.ok());
   EXPECT_TRUE(second.status().IsBusy());
-  pager->RollbackWrite(std::move(txn));
-  EXPECT_TRUE(pager->TryBeginWrite().ok() || true);
+  txn.reset();
+  EXPECT_TRUE(pager->TryBeginWrite().ok());
+}
+
+TEST_F(PagerTest, DroppedWriteStateFreesSlot) {
+  auto pager = Pager::Open(Path("db"), PagerOptions{}).value();
+  {
+    auto txn = pager->BeginWrite().value();
+    pager->AllocatePage(txn.get()).value();
+  }  // neither committed nor rolled back explicitly
+  EXPECT_TRUE(pager->TryBeginWrite().ok());
 }
 
 TEST_F(PagerTest, FreelistReusesPages) {
@@ -462,7 +474,6 @@ TEST_F(PagerTest, FreelistReusesPages) {
     auto txn = pager->BeginWrite().value();
     const PageId reused = pager->AllocatePage(txn.get()).value();
     EXPECT_EQ(reused, first);
-    pager->RollbackWrite(std::move(txn));
   }
 }
 
@@ -509,30 +520,43 @@ TEST_F(PagerTest, CheckpointFoldsWalIntoMainFile) {
 }
 
 TEST_F(PagerTest, CheckpointBackfillsUnderActiveReader) {
-  // Wrap-around off: the classic contract — a live reader limits a full
-  // fold to "folded, not reset".
-  PagerOptions opts;
-  opts.wal_wraparound = false;
-  auto pager = Pager::Open(Path("db"), opts).value();
+  auto pager = Pager::Open(Path("db"), PagerOptions{}).value();
+  PageId pid;
   {
     auto txn = pager->BeginWrite().value();
-    pager->AllocatePage(txn.get()).value();
+    pid = pager->AllocatePage(txn.get()).value();
+    pager->GetMutablePage(txn.get(), pid).value()->WriteU32(8, 1);
     ASSERT_TRUE(pager->CommitWrite(std::move(txn)).ok());
   }
-  // A live reader no longer makes the checkpoint Busy: frames at-or-below
-  // the reader's snapshot are folded and the watermark advances, but the
-  // WAL is not reset while the reader could still touch a frame.
+  // A reader pinned *below* a second commit: a live reader no longer
+  // makes the checkpoint Busy — frames at-or-below its snapshot are
+  // folded and the watermark advances — but the frames above it stay
+  // unfolded, so the log can be neither reset nor wrapped.
   const uint64_t seq = pager->BeginSnapshot();
   const uint64_t frames = pager->wal_frame_count();
   ASSERT_GT(frames, 0u);
+  {
+    auto txn = pager->BeginWrite().value();
+    pager->GetMutablePage(txn.get(), pid).value()->WriteU32(8, 2);
+    ASSERT_TRUE(pager->CommitWrite(std::move(txn)).ok());
+  }
+  const uint64_t total = pager->wal_frame_count();
+  ASSERT_GT(total, frames);
   EXPECT_TRUE(pager->Checkpoint().ok());
   EXPECT_EQ(pager->wal_backfill_watermark(), frames);
-  EXPECT_EQ(pager->wal_frame_count(), frames);  // folded, not reset
+  EXPECT_EQ(pager->wal_frame_count(), total);  // folded, not reset
+  EXPECT_EQ(pager->wal_epoch(), 0u);
+  EXPECT_EQ(pager->ReadPage(pid, seq).value()->ReadU32(8), 1u);
+  // Roll the pin up to the head: the next fold covers every frame while a
+  // reader is still registered, so the log wraps instead of resetting.
+  const uint64_t head = pager->BeginSnapshot();
   pager->EndSnapshot(seq);
-  // With the registry drained the next checkpoint recycles the log.
   EXPECT_TRUE(pager->Checkpoint().ok());
+  EXPECT_EQ(pager->wal_epoch(), 1u);
   EXPECT_EQ(pager->wal_frame_count(), 0u);
   EXPECT_EQ(pager->wal_backfill_watermark(), 0u);
+  EXPECT_EQ(pager->ReadPage(pid, head).value()->ReadU32(8), 2u);
+  pager->EndSnapshot(head);
 }
 
 TEST_F(PagerTest, CheckpointWrapsUnderActiveReader) {

@@ -354,7 +354,6 @@ TEST_P(PipelinedCommitSweepTest, FaultedGroupAcksNoMember) {
   FaultInjectionFile* wal_file = nullptr;
   PagerOptions opts;
   opts.sync_on_commit = true;
-  opts.commit_pipeline = true;
   opts.file_wrapper = [&wal_file](std::unique_ptr<FileHandle> base,
                                   std::string_view role)
       -> std::unique_ptr<FileHandle> {

@@ -31,6 +31,8 @@
 namespace micronn {
 namespace {
 
+constexpr Wal::AppendMode kWrite = Wal::AppendMode::kWrite;
+
 constexpr uint64_t kBatchRows = 100;
 
 class WalRecoveryTest : public ::testing::Test {
@@ -217,9 +219,9 @@ TEST_F(WalRecoveryTest, NonConsecutiveCommitSeqIsDiscardedAsStaleTail) {
     Page p;
     p.Zero();
     p.WriteU32(0, 1);
-    ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 1, false).ok());
+    ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 1, kWrite).ok());
     p.WriteU32(0, 2);
-    ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 3, false).ok());  // skips seq 2
+    ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 3, kWrite).ok());  // skips seq 2
   }
   auto wal = Wal::Open(wal_path, &stats).value();
   EXPECT_EQ(wal->frame_count(), 1u);           // only the seq-1 commit
@@ -626,12 +628,11 @@ TEST_F(WalRecoveryTest, InjectedTearAtWrapStraddlePointDropsCommit) {
 }
 
 TEST_F(WalRecoveryTest, InjectedPipelinedFlushWriteFailureAcksNothing) {
-  // Commit pipelining (sync_on_commit + commit_pipeline): the frames are
-  // staged and the group-commit leader's one batched write fails. Nothing
+  // Group commit with sync_on_commit: the frames are staged and the
+  // group-commit leader's one batched write fails. Nothing
   // reached the file, so a crash image holds batch A only; the live
   // engine applies the sticky no-ack rule exactly as for a failed fsync.
   auto engine = OpenWithWalFaults(/*sync_on_commit=*/true);
-  ASSERT_TRUE(engine->pager()->options().commit_pipeline);
   ASSERT_TRUE(CommitBatch(engine.get(), 0).ok());
   ASSERT_TRUE(engine->Checkpoint().ok());
 
@@ -659,9 +660,9 @@ TEST_F(WalRecoveryTest, StaleSurvivorsIgnoredAfterWrapRestart) {
   Page p;
   p.Zero();
   p.WriteU32(0, 11);
-  ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 1, false).ok());
+  ASSERT_TRUE(wal->AppendCommit({{3, &p}}, 1, kWrite).ok());
   p.WriteU32(0, 22);
-  ASSERT_TRUE(wal->AppendCommit({{4, &p}}, 2, false).ok());
+  ASSERT_TRUE(wal->AppendCommit({{4, &p}}, 2, kWrite).ok());
   ASSERT_TRUE(wal->Sync().ok());
   ASSERT_TRUE(wal->AdvanceBackfillWatermark(2, 2).ok());
   ASSERT_TRUE(wal->WrapRestart().ok());
@@ -677,7 +678,7 @@ TEST_F(WalRecoveryTest, StaleSurvivorsIgnoredAfterWrapRestart) {
   }
 
   p.WriteU32(0, 33);
-  ASSERT_TRUE(wal->AppendCommit({{5, &p}}, 3, false).ok());
+  ASSERT_TRUE(wal->AppendCommit({{5, &p}}, 3, kWrite).ok());
   std::filesystem::copy_file(
       wal_path, copy_path, std::filesystem::copy_options::overwrite_existing);
   {
@@ -705,7 +706,7 @@ TEST_F(WalRecoveryTest, FormatV2HeaderStillOpens) {
     Page p;
     p.Zero();
     p.WriteU32(0, 77);
-    ASSERT_TRUE(wal->AppendCommit({{9, &p}}, 1, false).ok());
+    ASSERT_TRUE(wal->AppendCommit({{9, &p}}, 1, kWrite).ok());
   }
   {
     // Rewrite the file header in the v2 layout (no epoch field).
