@@ -686,9 +686,10 @@ void DB::DropCaches() {
 HealthReport DB::Health() {
   Pager* pager = engine_->pager();
   HealthReport h;
-  h.read_only = pager->degraded();
-  h.read_only_cause = pager->degraded_cause();
-  h.read_only_for_ms = pager->degraded_for_ms();
+  DegradedMode::State degraded = pager->degraded_state();
+  h.read_only = degraded.read_only;
+  h.read_only_cause = std::move(degraded.cause);
+  h.read_only_for_ms = degraded.for_ms;
   h.strict_checksums = pager->strict_checksums();
   h.format_version = pager->format_version();
   h.quarantined_sq8_partitions = quarantine_.Sq8Partitions();

@@ -46,10 +46,10 @@ void BackgroundService::Loop() {
     HealthReport h = db_->Health();
     if (h.read_only) {
       // The pager's exponential probe backoff makes this cheap to call
-      // every tick: within the backoff window it is one atomic load and
-      // a clock read, no filesystem syscalls.
+      // every tick: within the backoff window it is a clock read, no
+      // filesystem syscalls.
       Status st = db_->engine()->pager()->TryRecoverDegraded();
-      if (st.ok() && !db_->engine()->pager()->degraded()) {
+      if (st.ok() && !db_->engine()->pager()->degraded_state().read_only) {
         enospc_recoveries_.fetch_add(1, std::memory_order_relaxed);
         h = db_->Health();
       }

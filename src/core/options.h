@@ -143,9 +143,6 @@ struct DbOptions {
   ///   - checksum_pages (true): CRC32C verification of every main-file
   ///     page against the <db>-sum sidecar; mismatches surface as
   ///     Corruption, never as wrong rows.
-  ///   - io_retry_budget (3) / io_retry_backoff_us (100): bounded
-  ///     exponential-backoff retry of transient I/O errors; permanent
-  ///     errors and ENOSPC fail fast.
   ///   - enospc_probe_backoff_ms (10) / enospc_probe_max_backoff_ms
   ///     (5000): a full disk always degrades the store to read-only
   ///     (reads keep serving, writes fail fast); these pace the space

@@ -38,10 +38,6 @@ std::vector<uint32_t> CentroidSet::FindNearestPartitions(const float* query,
   return out;
 }
 
-uint32_t CentroidSet::NearestRow(const float* x) const {
-  return NearestCentroid(centroids, x);
-}
-
 Result<CentroidSet> LoadCentroidSet(PageView* view, BTree centroids_table,
                                     BTree meta_table, uint32_t dim,
                                     Metric metric) {

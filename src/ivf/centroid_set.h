@@ -43,10 +43,6 @@ struct CentroidSet {
   /// distance). Returns fewer when there are fewer partitions.
   std::vector<uint32_t> FindNearestPartitions(const float* query,
                                               uint32_t n) const;
-
-  /// Row index (into centroids/partitions/counts) of the nearest centroid.
-  /// Requires size() > 0.
-  uint32_t NearestRow(const float* x) const;
 };
 
 /// Loads the centroid table through `view`. `dim`/`metric` come from meta.

@@ -107,9 +107,15 @@ class BlockAssembler {
   Emit emit_;
 };
 
-Status ScanRange(BTreeCursor* cursor, uint32_t dim, const RowFilter& filter,
-                 const BlockCallback& cb, ScanCounters* counters,
-                 const std::function<bool(std::string_view)>& in_range) {
+}  // namespace
+
+Status ScanPartition(BTree vectors, uint32_t partition, uint32_t dim,
+                     const RowFilter& filter, const BlockCallback& cb,
+                     ScanCounters* counters) {
+  std::string prefix = PartitionPrefix(partition);
+  BTreeCursor cursor = vectors.NewCursor();
+  MICRONN_RETURN_IF_ERROR(cursor.Seek(prefix));
+
   BlockAssembler<AlignedFloatBuffer> blocks(
       dim, [&cb](uint32_t partition, const uint64_t* vids, const float* rows,
                  size_t count) -> Status {
@@ -121,7 +127,7 @@ Status ScanRange(BTreeCursor* cursor, uint32_t dim, const RowFilter& filter,
         return cb(sb);
       });
   MICRONN_RETURN_IF_ERROR(ScanRows(
-      cursor, filter, counters, in_range,
+      &cursor, filter, counters, PartitionRange(std::move(prefix)),
       [&](uint32_t partition, uint64_t vid, std::string_view value) -> Status {
         VectorRow row;
         MICRONN_RETURN_IF_ERROR(DecodeVectorRow(value, dim, &row));
@@ -130,18 +136,6 @@ Status ScanRange(BTreeCursor* cursor, uint32_t dim, const RowFilter& filter,
             reinterpret_cast<const float*>(row.vector_blob.data()));
       }));
   return blocks.Flush();
-}
-
-}  // namespace
-
-Status ScanPartition(BTree vectors, uint32_t partition, uint32_t dim,
-                     const RowFilter& filter, const BlockCallback& cb,
-                     ScanCounters* counters) {
-  std::string prefix = PartitionPrefix(partition);
-  BTreeCursor cursor = vectors.NewCursor();
-  MICRONN_RETURN_IF_ERROR(cursor.Seek(prefix));
-  return ScanRange(&cursor, dim, filter, cb, counters,
-                   PartitionRange(std::move(prefix)));
 }
 
 Status ScanPartitionSq8(BTree sq8, uint32_t partition, uint32_t dim,
@@ -169,14 +163,6 @@ Status ScanPartitionSq8(BTree sq8, uint32_t partition, uint32_t dim,
         return blocks.Append(partition, vid, codes);
       }));
   return blocks.Flush();
-}
-
-Status ScanAllPartitions(BTree vectors, uint32_t dim, const RowFilter& filter,
-                         const BlockCallback& cb, ScanCounters* counters) {
-  BTreeCursor cursor = vectors.NewCursor();
-  MICRONN_RETURN_IF_ERROR(cursor.SeekToFirst());
-  return ScanRange(&cursor, dim, filter, cb, counters,
-                   [](std::string_view) { return true; });
 }
 
 Status CollectPartitionLeafPages(BTree table, uint32_t partition,

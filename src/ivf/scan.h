@@ -1,5 +1,5 @@
-// Partition scanning: the inner loop of ANN search, batch search, and
-// exact search.
+// Partition scanning: the inner loop of every partition-scanning query
+// plan (ANN, batch and exact).
 //
 // Rows of one partition are physically contiguous in the vectors table
 // (clustered key), so a partition scan is a short range scan. Rows are
@@ -76,11 +76,6 @@ Status ScanPartition(BTree vectors, uint32_t partition, uint32_t dim,
 Status ScanPartitionSq8(BTree sq8, uint32_t partition, uint32_t dim,
                         const RowFilter& filter, const Sq8BlockCallback& cb,
                         ScanCounters* counters);
-
-/// Scans the entire vectors table (every partition, delta included) — the
-/// exact-KNN path.
-Status ScanAllPartitions(BTree vectors, uint32_t dim, const RowFilter& filter,
-                         const BlockCallback& cb, ScanCounters* counters);
 
 /// Appends to `*out` the ids of every leaf page that may hold rows of
 /// `partition` in `table` (the vectors table or its sq8 sidecar — both are

@@ -1,7 +1,6 @@
 #include "ivf/search.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -280,99 +279,6 @@ Status ScanPartitionSq8IntoHeaps(BTree sq8, uint32_t partition, Metric metric,
                                verdicts.get());
       },
       scan_counters);
-}
-
-Result<std::vector<Neighbor>> AnnSearch(BTree vectors,
-                                        const CentroidSet& centroids,
-                                        uint32_t dim, const float* query,
-                                        const AnnSearchParams& params,
-                                        ThreadPool* pool,
-                                        const RowFilter& filter,
-                                        SearchCounters* counters) {
-  if (params.k == 0) {
-    return Status::InvalidArgument("k must be > 0");
-  }
-  const Metric metric = centroids.centroids.metric;
-  // Line 3: n nearest partitions, plus the delta partition (always).
-  std::vector<uint32_t> probe =
-      centroids.FindNearestPartitions(query, params.nprobe);
-  probe.push_back(kDeltaPartition);
-
-  std::vector<TopKHeap> heaps(probe.size(), TopKHeap(params.k));
-  std::vector<ScanCounters> scan_counters(probe.size());
-  std::vector<Status> statuses(probe.size());
-  const RowFilter* filter_ptr = filter ? &filter : nullptr;
-
-  auto scan_one = [&](size_t i) {
-    HeapScanTarget target{query, &heaps[i], filter_ptr, &scan_counters[i]};
-    statuses[i] = ScanPartitionIntoHeaps(vectors, probe[i], metric, dim,
-                                         &target, 1);
-  };
-
-  if (pool != nullptr && probe.size() > 1) {
-    std::atomic<size_t> next{0};
-    auto drain = [&]() {
-      for (;;) {
-        const size_t i = next.fetch_add(1);
-        if (i >= probe.size()) break;
-        scan_one(i);
-      }
-    };
-    // The caller drains too and helps the pool while waiting, so
-    // concurrent searches sharing one pool cannot starve each other.
-    const size_t workers = std::min(pool->num_threads(), probe.size() - 1);
-    WaitGroup wg;
-    wg.Add(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pool->Submit([&]() {
-        drain();
-        wg.Done();
-      });
-    }
-    drain();
-    pool->HelpWait(&wg);
-  } else {
-    for (size_t i = 0; i < probe.size(); ++i) {
-      scan_one(i);
-    }
-  }
-  for (const Status& st : statuses) {
-    MICRONN_RETURN_IF_ERROR(st);
-  }
-  if (counters != nullptr) {
-    counters->partitions_scanned += probe.size();
-    for (const ScanCounters& sc : scan_counters) {
-      counters->rows_scanned += sc.rows_scanned;
-      counters->rows_filtered += sc.rows_filtered;
-    }
-  }
-  // Line 11: merge per-worker heaps and sort.
-  return MergeHeapsSorted(heaps, params.k);
-}
-
-Result<std::vector<Neighbor>> ExactSearch(BTree vectors, Metric metric,
-                                          uint32_t dim, const float* query,
-                                          uint32_t k, const RowFilter& filter,
-                                          SearchCounters* counters) {
-  TopKHeap heap(k);
-  std::vector<float> dist(kScanBlockRows);
-  ScanCounters sc;
-  MICRONN_RETURN_IF_ERROR(ScanAllPartitions(
-      vectors, dim, filter,
-      [&](const ScanBlock& block) -> Status {
-        DistanceOneToMany(metric, query, block.data, block.count, dim,
-                          dist.data());
-        for (size_t i = 0; i < block.count; ++i) {
-          heap.Push(block.vids[i], dist[i], block.partition);
-        }
-        return Status::OK();
-      },
-      &sc));
-  if (counters != nullptr) {
-    counters->rows_scanned += sc.rows_scanned;
-    counters->rows_filtered += sc.rows_filtered;
-  }
-  return heap.TakeSorted();
 }
 
 namespace {

@@ -1,11 +1,8 @@
-// ANN and exact KNN search (paper Algorithm 2 and §3.3), plus the shared
-// scan-into-heaps kernel that both single-query search and the batch
-// executor (src/query/executor.h) are built on.
-//
-// AnnSearch scans the n nearest partitions *plus the delta partition*
-// (always), in parallel across a thread pool, keeping one bounded top-k
-// heap per scan task and merging at the end. Distances are computed over
-// decoded row blocks with the SIMD kernels.
+// Search kernels (paper Algorithm 2 and §3.3) that the query executor
+// (src/query/executor.h) is built on: the scan-into-heaps kernel every
+// partition-scanning plan uses, and brute-force scoring of rows at known
+// locations or vids. Distances are computed over decoded row blocks with
+// the SIMD kernels.
 #ifndef MICRONN_IVF_SEARCH_H_
 #define MICRONN_IVF_SEARCH_H_
 
@@ -16,17 +13,11 @@
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "ivf/centroid_set.h"
 #include "ivf/scan.h"
 #include "ivf/schema.h"
 #include "numerics/topk.h"
 
 namespace micronn {
-
-struct AnnSearchParams {
-  uint32_t k = 10;       // result size (paper's K)
-  uint32_t nprobe = 8;   // partitions to scan (paper's n)
-};
 
 /// Per-query execution counters, surfaced for benchmarks and tests.
 struct SearchCounters {
@@ -103,23 +94,6 @@ Status ScanPartitionSq8IntoHeaps(BTree sq8, uint32_t partition, Metric metric,
                                  ScanCounters* scan_counters = nullptr,
                                  const SharedFilterEval* shared_eval = nullptr,
                                  size_t n_slots = 0);
-
-/// Algorithm 2. `query` must already be normalized when metric == kCosine.
-/// `pool` may be null (serial scan). `filter` may be empty.
-Result<std::vector<Neighbor>> AnnSearch(BTree vectors,
-                                        const CentroidSet& centroids,
-                                        uint32_t dim, const float* query,
-                                        const AnnSearchParams& params,
-                                        ThreadPool* pool,
-                                        const RowFilter& filter,
-                                        SearchCounters* counters);
-
-/// Exhaustive exact KNN over the whole vectors table (the paper's exact
-/// search mode; also the ground-truth generator for recall).
-Result<std::vector<Neighbor>> ExactSearch(BTree vectors, Metric metric,
-                                          uint32_t dim, const float* query,
-                                          uint32_t k, const RowFilter& filter,
-                                          SearchCounters* counters);
 
 /// Snapshot handle for read-ahead inside search primitives. When supplied
 /// to SearchByVids / SearchByLocations, each point-read stage first

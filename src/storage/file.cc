@@ -210,11 +210,9 @@ Status PosixFile::Truncate(uint64_t size) {
 }
 
 bool RetryingFile::BackoffForRetry(uint32_t attempt) {
-  if (attempt >= policy_.budget) return false;
-  const uint64_t us = static_cast<uint64_t>(policy_.backoff_us) << attempt;
-  if (us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
+  if (attempt >= kMaxRetries) return false;
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(uint64_t{kInitialBackoffUs} << attempt));
   if (stats_ != nullptr) {
     stats_->io_retries.fetch_add(1, std::memory_order_relaxed);
   }

@@ -34,16 +34,6 @@ namespace micronn {
 Status StatusFromIoErrno(int err, const std::string& op,
                          const std::string& path);
 
-/// Bounded-retry policy for transient (Unavailable) I/O errors; wired
-/// from PagerOptions::{io_retry_budget, io_retry_backoff_us}.
-struct RetryPolicy {
-  /// Retries per operation after the initial attempt. 0 disables the
-  /// retry loop (Unavailable surfaces to the caller directly).
-  uint32_t budget = 3;
-  /// Sleep before the first retry; doubles on each further retry.
-  uint32_t backoff_us = 100;
-};
-
 /// One positional read of a batch. `status` receives the per-op outcome
 /// from ReadBatch so best-effort callers (the prefetcher) can skip failed
 /// ops while strict callers check every one.
@@ -227,8 +217,13 @@ using File = PosixFile;
 /// transiently-failed ops at reap time, once the ticket is done.
 class RetryingFile : public FileHandle {
  public:
-  RetryingFile(std::unique_ptr<FileHandle> inner, RetryPolicy policy)
-      : inner_(std::move(inner)), policy_(policy) {}
+  /// Retries per operation after the initial attempt.
+  static constexpr uint32_t kMaxRetries = 3;
+  /// Sleep before the first retry; doubles on each further retry.
+  static constexpr uint32_t kInitialBackoffUs = 100;
+
+  explicit RetryingFile(std::unique_ptr<FileHandle> inner)
+      : inner_(std::move(inner)) {}
 
   Status ReadAt(uint64_t offset, void* buf, size_t n) override;
   Status ReadBatch(ReadOp* ops, size_t n) override;
@@ -255,7 +250,6 @@ class RetryingFile : public FileHandle {
   void RetryFailedReads(ReadOp* ops, size_t n);
 
   std::unique_ptr<FileHandle> inner_;
-  RetryPolicy policy_;
 };
 
 /// Deletes a file if it exists; OK if missing.

@@ -47,34 +47,30 @@ Pager::~Pager() {
   }
 }
 
+std::unique_ptr<FileHandle> Pager::WrapFile(std::unique_ptr<FileHandle> file,
+                                            std::string_view role) {
+  // The transient-retry decorator is outermost — above any fault wrapper —
+  // so injected EAGAIN/short-read faults exercise the same bounded-retry
+  // path real ones take.
+  if (options_.file_wrapper) {
+    file = options_.file_wrapper(std::move(file), role);
+  }
+  file = std::make_unique<RetryingFile>(std::move(file));
+  file->set_io_stats(&stats_);
+  return file;
+}
+
 Status Pager::Initialize() {
   // Both files go through the selected I/O backend (and, in tests, the
   // fault-injection wrapper) so batched reads and injected faults cover
-  // the WAL exactly like the main file. The transient-retry decorator is
-  // outermost — above any fault wrapper — so injected EAGAIN/short-read
-  // faults exercise the same bounded-retry path real ones take.
-  const RetryPolicy retry{options_.io_retry_budget,
-                          options_.io_retry_backoff_us};
+  // the WAL exactly like the main file.
   MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<FileHandle> db_file,
                            OpenFile(path_, options_.io_backend, &io_backend_));
-  if (options_.file_wrapper) {
-    db_file = options_.file_wrapper(std::move(db_file), "db");
-  }
-  if (retry.budget > 0) {
-    db_file = std::make_unique<RetryingFile>(std::move(db_file), retry);
-  }
-  db_file->set_io_stats(&stats_);
-  db_file_ = std::move(db_file);
-
+  db_file_ = WrapFile(std::move(db_file), "db");
   MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<FileHandle> wal_file,
                            OpenFile(path_ + "-wal", options_.io_backend));
-  if (options_.file_wrapper) {
-    wal_file = options_.file_wrapper(std::move(wal_file), "wal");
-  }
-  if (retry.budget > 0) {
-    wal_file = std::make_unique<RetryingFile>(std::move(wal_file), retry);
-  }
-  MICRONN_ASSIGN_OR_RETURN(wal_, Wal::Open(std::move(wal_file), &stats_));
+  MICRONN_ASSIGN_OR_RETURN(
+      wal_, Wal::Open(WrapFile(std::move(wal_file), "wal"), &stats_));
 
   const bool fresh_db = (db_file_->size() == 0 && wal_->frame_count() == 0);
 
@@ -85,14 +81,8 @@ Status Pager::Initialize() {
   {
     MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<File> sum_posix,
                              File::Open(path_ + "-sum"));
-    std::unique_ptr<FileHandle> sum_file = std::move(sum_posix);
-    if (options_.file_wrapper) {
-      sum_file = options_.file_wrapper(std::move(sum_file), "sum");
-    }
-    if (retry.budget > 0) {
-      sum_file = std::make_unique<RetryingFile>(std::move(sum_file), retry);
-    }
-    sum_file->set_io_stats(&stats_);
+    std::unique_ptr<FileHandle> sum_file =
+        WrapFile(std::move(sum_posix), "sum");
     if (fresh_db && sum_file->size() != 0) {
       // Leftover sidecar of a deleted database: its slots describe pages
       // that no longer exist. Start over.
@@ -161,7 +151,8 @@ Status Pager::Initialize() {
   }
   page_count_ = header->ReadU32(DbHeader::kOffPageCount);
   // Everything that survived recovery is durable by construction.
-  wal_durable_seq_ = last_committed_seq_;
+  group_commit_ =
+      std::make_unique<GroupCommit>(wal_.get(), last_committed_seq_);
   return Status::OK();
 }
 
@@ -183,6 +174,7 @@ Status Pager::Close() {
   }
   MICRONN_RETURN_IF_ERROR(db_file_->Sync());
   db_file_.reset();
+  group_commit_.reset();
   wal_.reset();
   cache_.Clear();
   return Status::OK();
@@ -200,92 +192,13 @@ Status Pager::VerifyMainPage(PageId id, const uint8_t* bytes) {
   return st;
 }
 
-Status Pager::NoteWriteError(Status st) {
-  if (st.IsResourceExhausted() &&
-      !degraded_.exchange(true, std::memory_order_acq_rel)) {
-    {
-      std::lock_guard<std::mutex> lock(degraded_info_mutex_);
-      degraded_cause_ = st.ToString();
-      degraded_since_ = std::chrono::steady_clock::now();
-    }
-    MICRONN_LOG(kWarn) << "out of disk space; " << path_
-                       << " entering read-only degraded mode: "
-                       << st.ToString();
-  }
-  return st;
-}
-
-Status Pager::ProbeDegraded(const WriterSlot& /*slot*/) {
-  // In degraded mode, probe the filesystem for space — one page written
-  // past EOF, truncated straight back — so writes resume automatically
-  // once space returns and fail fast (ResourceExhausted, no partial work)
-  // while it has not. After a failed probe the next attempts inside the
-  // (exponentially growing) backoff window skip the syscalls entirely: a
-  // full disk should not turn every rejected write into two extra
-  // filesystem operations.
-  if (!degraded_.load(std::memory_order_acquire)) return Status::OK();
-  const auto now = std::chrono::steady_clock::now();
-  if (enospc_probe_backoff_ms_ > 0 && now < enospc_next_probe_) {
-    return Status::ResourceExhausted(
-        "database is read-only (degraded after out-of-space); space probe "
-        "backed off");
-  }
-  stats_.enospc_probes.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t end = db_file_->size();
-  std::vector<uint8_t> probe(kPageSize, 0);
-  Status st = db_file_->WriteAt(end, probe.data(), kPageSize);
-  Status restore = db_file_->Truncate(end);  // undo the probe either way
-  if (st.ok()) st = restore;
-  if (!st.ok()) {
-    // A 0 initial backoff keeps the window at 0: probe on every attempt.
-    enospc_probe_backoff_ms_ =
-        enospc_probe_backoff_ms_ == 0
-            ? options_.enospc_probe_backoff_ms
-            : static_cast<uint32_t>(std::min<uint64_t>(
-                  2ull * enospc_probe_backoff_ms_,
-                  std::max(options_.enospc_probe_max_backoff_ms,
-                           options_.enospc_probe_backoff_ms)));
-    enospc_next_probe_ =
-        now + std::chrono::milliseconds(enospc_probe_backoff_ms_);
-    return Status::ResourceExhausted(
-        "database is read-only (degraded after out-of-space); space probe "
-        "failed: " +
-        st.ToString());
-  }
-  enospc_probe_backoff_ms_ = 0;
-  degraded_.store(false, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(degraded_info_mutex_);
-    degraded_cause_.clear();
-    degraded_since_ = {};
-  }
-  MICRONN_LOG(kInfo) << path_
-                     << ": disk space available again; leaving read-only "
-                        "degraded mode";
-  return Status::OK();
-}
-
-std::string Pager::degraded_cause() const {
-  std::lock_guard<std::mutex> lock(degraded_info_mutex_);
-  return degraded_cause_;
-}
-
-uint64_t Pager::degraded_for_ms() const {
-  std::lock_guard<std::mutex> lock(degraded_info_mutex_);
-  if (degraded_since_ == std::chrono::steady_clock::time_point{}) return 0;
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - degraded_since_)
-          .count());
-}
-
 Status Pager::TryRecoverDegraded() {
-  if (!degraded_.load(std::memory_order_acquire)) return Status::OK();
+  if (!degraded_.state().read_only) return Status::OK();
   MICRONN_ASSIGN_OR_RETURN(
       WriterSlot slot,
       WriterSlot::TryAcquire(&writer_gate_,
                              "writer active during degraded-recovery probe"));
-  return ProbeDegraded(slot);
+  return degraded_.Probe(slot, db_file_.get());
 }
 
 uint64_t Pager::BeginSnapshot() {
@@ -607,7 +520,7 @@ Result<std::unique_ptr<WriteTxnState>> Pager::TryBeginWrite() {
 }
 
 Result<std::unique_ptr<WriteTxnState>> Pager::StartWrite(WriterSlot slot) {
-  MICRONN_RETURN_IF_ERROR(ProbeDegraded(slot));
+  MICRONN_RETURN_IF_ERROR(degraded_.Probe(slot, db_file_.get()));
   std::unique_ptr<WriteTxnState> txn(new WriteTxnState(std::move(slot)));
   {
     std::lock_guard<std::mutex> l(mutex_);
@@ -751,7 +664,7 @@ Status Pager::CommitWrite(std::unique_ptr<WriteTxnState> txn) {
     // only acknowledged once a WAL fsync covers it — ours or a concurrent
     // leader's. A crash before that fsync loses an unacknowledged suffix
     // of commits, never a torn one.
-    result = WaitForDurable(commit_seq);
+    result = group_commit_->WaitForDurable(commit_seq);
   }
 
   if (committed && result.ok()) {
@@ -763,73 +676,8 @@ Status Pager::CommitWrite(std::unique_ptr<WriteTxnState> txn) {
   // next BeginWrite probes for space and re-enables writes when it
   // returns. (A failed flush of *staged* frames is different — those
   // commits were already published — and keeps the sticky fsync-poison
-  // rule; see WaitForDurable.)
-  return NoteWriteError(std::move(result));
-}
-
-Status Pager::WaitForDurable(uint64_t commit_seq) {
-  std::unique_lock<std::mutex> lock(commit_sync_mutex_);
-  for (;;) {
-    if (wal_durable_seq_ >= commit_seq) {
-      return Status::OK();  // a concurrent leader's fsync covered us
-    }
-    if (commit_sync_failed_) {
-      // A previous WAL fsync failed. Unlike the pre-group-commit path,
-      // the frames cannot be truncated away here — later commits may
-      // already have appended past them — so the commit stays replayable
-      // by recovery even though it is reported failed. Refusing all
-      // further synced commits keeps an application-level retry from
-      // applying it twice in this process; a reopen re-validates the log
-      // from disk.
-      return Status::IOError(
-          "WAL fsync previously failed; commit durability unknown until "
-          "the database is reopened");
-    }
-    if (!commit_sync_in_flight_) break;
-    commit_sync_cv_.wait(lock);
-  }
-  // Leader: one flush + fsync covers every commit fully published by now.
-  // The coverage target is captured before unlocking; any commit at-or-
-  // below it was either written immediately (unsynced commits: publish
-  // follows the write) or staged before the capture — and the FlushStaged
-  // below drains everything staged so far in one contiguous write, so the
-  // fdatasync covers it either way.
-  commit_sync_in_flight_ = true;
-  const uint64_t covers = wal_->last_committed_seq();
-  lock.unlock();
-  Status st = wal_->FlushStaged();
-  if (st.ok()) st = wal_->Sync();
-  lock.lock();
-  commit_sync_in_flight_ = false;
-  if (st.ok()) {
-    if (covers > wal_durable_seq_) {
-      wal_durable_seq_ = covers;
-    }
-  } else {
-    // Post-failure fsync state is undefined (the kernel may have dropped
-    // the dirty pages); stop acknowledging synced commits for this
-    // pager's lifetime instead of pretending a later fsync can make the
-    // earlier writes durable. A failed batched *flush* poisons the group
-    // identically — none of its commits (leader or follower) is ever
-    // acknowledged, which is exactly the per-submission failure isolation
-    // group commit promises.
-    commit_sync_failed_ = true;
-  }
-  commit_sync_cv_.notify_all();
-  return st;
-}
-
-void Pager::PublishDurable(uint64_t seq) {
-  std::lock_guard<std::mutex> lock(commit_sync_mutex_);
-  // After any WAL fsync failure the kernel may have dropped dirty pages
-  // behind an apparently-successful later sync, so a post-failure sync
-  // must never acknowledge commits (wal_durable_seq_ only ever reflects
-  // pre-failure syncs; WaitForDurable's fast path relies on this).
-  if (commit_sync_failed_) return;
-  if (seq > wal_durable_seq_) {
-    wal_durable_seq_ = seq;
-    commit_sync_cv_.notify_all();
-  }
+  // rule; see GroupCommit.)
+  return degraded_.NoteWriteError(std::move(result));
 }
 
 void Pager::MaybeCheckpointAfterCommit() {
@@ -844,7 +692,8 @@ void Pager::MaybeCheckpointAfterCommit() {
     {
       const WriterSlot slot = WriterSlot::Acquire(&writer_gate_);
       if (wal_->frame_count() > options_.wal_backpressure_frames) {
-        st = NoteWriteError(CheckpointImpl(slot, /*block_for_readers=*/true));
+        st = degraded_.NoteWriteError(
+            CheckpointImpl(slot, /*block_for_readers=*/true));
       }
     }
     if (!st.ok()) {
@@ -866,7 +715,7 @@ void Pager::MaybeCheckpointAfterCommit() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     idle = active_readers_.empty();
-    horizon = idle ? last_committed_seq_ : *active_readers_.begin();
+    horizon = HorizonLocked();
   }
   if (!idle && wal_->FramesThrough(horizon) <= wal_->backfill_watermark()) {
     // Nothing new to fold below the pinned horizon — but when the log is
@@ -887,16 +736,13 @@ Status Pager::Checkpoint() {
   MICRONN_ASSIGN_OR_RETURN(
       WriterSlot slot,
       WriterSlot::TryAcquire(&writer_gate_, "writer active during checkpoint"));
-  return NoteWriteError(CheckpointImpl(slot, /*block_for_readers=*/false));
+  return degraded_.NoteWriteError(
+      CheckpointImpl(slot, /*block_for_readers=*/false));
 }
 
-Status Pager::PoisonCommitSync(Status st) {
-  {
-    std::lock_guard<std::mutex> lock(commit_sync_mutex_);
-    commit_sync_failed_ = true;
-  }
-  commit_sync_cv_.notify_all();
-  return st;
+uint64_t Pager::HorizonLocked() const {
+  return active_readers_.empty() ? last_committed_seq_
+                                 : *active_readers_.begin();
 }
 
 Status Pager::CheckpointImpl(const WriterSlot& /*slot*/,
@@ -913,7 +759,7 @@ Status Pager::CheckpointImpl(const WriterSlot& /*slot*/,
   // WAL write with commits already published — same sticky rule as a
   // failed group fsync.
   if (Status flush = wal_->FlushStaged(); !flush.ok()) {
-    return NoteWriteError(PoisonCommitSync(std::move(flush)));
+    return degraded_.NoteWriteError(group_commit_->Poison(std::move(flush)));
   }
   for (;;) {
     if (wal_->frame_count() == 0) {
@@ -922,8 +768,7 @@ Status Pager::CheckpointImpl(const WriterSlot& /*slot*/,
     uint64_t horizon;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      horizon = active_readers_.empty() ? last_committed_seq_
-                                        : *active_readers_.begin();
+      horizon = HorizonLocked();
     }
     const uint64_t watermark = wal_->backfill_watermark();
     const uint64_t target = wal_->FramesThrough(horizon);
@@ -942,9 +787,9 @@ Status Pager::CheckpointImpl(const WriterSlot& /*slot*/,
       const uint64_t synced_through = wal_->last_committed_seq();
       if (Status wal_sync = wal_->Sync(); !wal_sync.ok()) {
         // Same sticky rule as the group-commit leader.
-        return PoisonCommitSync(std::move(wal_sync));
+        return group_commit_->Poison(std::move(wal_sync));
       }
-      PublishDurable(synced_through);
+      group_commit_->PublishDurable(synced_through);
       // Batched fold, the write-side twin of PrefetchPages: read the
       // folded frames through the batched WAL read path and land them as
       // coalesced vectored writes. The map iterates in ascending page id,
@@ -986,9 +831,9 @@ Status Pager::CheckpointImpl(const WriterSlot& /*slot*/,
           writes[i].len = kPageSize;
         }
         MICRONN_RETURN_IF_ERROR(
-            NoteWriteError(db_file_->WriteBatch(writes.data(), n)));
+            degraded_.NoteWriteError(db_file_->WriteBatch(writes.data(), n)));
         for (const WriteOp& w : writes) {
-          MICRONN_RETURN_IF_ERROR(NoteWriteError(w.status));
+          MICRONN_RETURN_IF_ERROR(degraded_.NoteWriteError(w.status));
         }
         // Fresh checksum slots for every page this fold rewrote — the
         // lazy-upgrade engine: folds progressively cover a legacy
@@ -998,17 +843,18 @@ Status Pager::CheckpointImpl(const WriterSlot& /*slot*/,
         for (size_t i = 0; i < n; ++i) {
           slots.emplace_back(fold[base + i].first, bufs[i].bytes());
         }
-        MICRONN_RETURN_IF_ERROR(NoteWriteError(checksums_->WriteSlots(slots)));
+        MICRONN_RETURN_IF_ERROR(
+            degraded_.NoteWriteError(checksums_->WriteSlots(slots)));
         stats_.checkpoint_pages.fetch_add(n, std::memory_order_relaxed);
       }
-      MICRONN_RETURN_IF_ERROR(NoteWriteError(db_file_->Sync()));
+      MICRONN_RETURN_IF_ERROR(degraded_.NoteWriteError(db_file_->Sync()));
       // Sidecar slots must be durable BEFORE the watermark records the
       // frames as folded: a reader only ever reaches a page's main-file
       // copy once its last fold fully completed (frames stay indexed
       // until Reset/WrapRestart, both excluded while this runs), so a
       // synced slot is always at least as fresh as the image it covers —
       // and a crash between the two merely re-folds, which is idempotent.
-      MICRONN_RETURN_IF_ERROR(NoteWriteError(checksums_->Sync()));
+      MICRONN_RETURN_IF_ERROR(degraded_.NoteWriteError(checksums_->Sync()));
       MICRONN_RETURN_IF_ERROR(wal_->AdvanceBackfillWatermark(target, horizon));
     }
     {
@@ -1064,7 +910,7 @@ Status Pager::CheckpointImpl(const WriterSlot& /*slot*/,
             // Header write/fsync failure: the old generation is intact and
             // live, but WAL fsync state is now unknowable — same sticky
             // rule as every other failed WAL sync.
-            return PoisonCommitSync(std::move(wrap));
+            return group_commit_->Poison(std::move(wrap));
           }
           return Status::OK();
         }
@@ -1074,10 +920,8 @@ Status Pager::CheckpointImpl(const WriterSlot& /*slot*/,
         // If the horizon already rose past frames not yet folded (it can
         // move during the fold phase, whose cv notification nobody was
         // waiting on), drop the lock and fold them before waiting.
-        const uint64_t h = active_readers_.empty()
-                               ? last_committed_seq_
-                               : *active_readers_.begin();
-        if (wal_->FramesThrough(h) > wal_->backfill_watermark()) {
+        if (wal_->FramesThrough(HorizonLocked()) >
+            wal_->backfill_watermark()) {
           break;  // back to the fold phase of the outer loop
         }
         if (std::chrono::steady_clock::now() >= deadline) {
@@ -1155,7 +999,7 @@ Status Pager::ScrubStep(uint32_t max_pages, bool* done) {
     ++scrub_.steps;
     scrub_.max_step_pages = std::max(scrub_.max_step_pages, walked);
   }
-  MICRONN_RETURN_IF_ERROR(NoteWriteError(std::move(st)));
+  MICRONN_RETURN_IF_ERROR(degraded_.NoteWriteError(std::move(st)));
   if (!pass_done) return Status::OK();
 
   scrub_.active = false;
@@ -1271,7 +1115,7 @@ Status Pager::ScrubStepLocked(const WriterSlot& /*slot*/, uint32_t max_pages,
           cache_.InvalidatePage(id);
           repaired = true;
         } else {
-          MICRONN_RETURN_IF_ERROR(NoteWriteError(std::move(w)));
+          MICRONN_RETURN_IF_ERROR(degraded_.NoteWriteError(std::move(w)));
         }
       }
     }
@@ -1290,10 +1134,10 @@ Status Pager::ScrubStepLocked(const WriterSlot& /*slot*/, uint32_t max_pages,
   // land before the pass can report them fixed.
   if (report->slots_backfilled != backfilled_before ||
       report->pages_repaired != repaired_before) {
-    MICRONN_RETURN_IF_ERROR(NoteWriteError(checksums_->Sync()));
+    MICRONN_RETURN_IF_ERROR(degraded_.NoteWriteError(checksums_->Sync()));
   }
   if (report->pages_repaired != repaired_before) {
-    MICRONN_RETURN_IF_ERROR(NoteWriteError(db_file_->Sync()));
+    MICRONN_RETURN_IF_ERROR(degraded_.NoteWriteError(db_file_->Sync()));
   }
   return Status::OK();
 }

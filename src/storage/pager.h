@@ -26,7 +26,6 @@
 #define MICRONN_STORAGE_PAGER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -44,7 +43,9 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/checksums.h"
+#include "storage/degraded_mode.h"
 #include "storage/file.h"
+#include "storage/group_commit.h"
 #include "storage/io_backend.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
@@ -115,15 +116,6 @@ struct PagerOptions {
   /// behind. A mismatch surfaces as Status::Corruption and counts in
   /// IoStats::corruptions_detected; it is never served as page content.
   bool checksum_pages = true;
-
-  /// Bounded retry of *transient* I/O errors (Unavailable: EAGAIN, short
-  /// reads) at the file layer, with exponential backoff: up to
-  /// `io_retry_budget` retries per operation (default 3; 0 disables),
-  /// starting at `io_retry_backoff_us` (default 100) and doubling each
-  /// attempt. Permanent errors (EIO, checksum mismatch) and ENOSPC are
-  /// never retried. Absorbed retries count in IoStats::io_retries.
-  uint32_t io_retry_budget = 3;
-  uint32_t io_retry_backoff_us = 100;
 
   /// ENOSPC handling: a commit, WAL flush, or checkpoint that fails with
   /// ResourceExhausted flips the pager into a *read-only degraded mode* —
@@ -431,7 +423,7 @@ class Pager {
 
   /// Probes the filesystem once (respecting the exponential probe
   /// backoff) when in ENOSPC degraded mode, clearing the mode if space
-  /// returned — the hook the background health monitor uses to recover a
+  /// returned — the hook the background service uses to recover a
   /// write-idle database. OK when not degraded or once recovered;
   /// ResourceExhausted while space is still missing (or the probe is
   /// backed off); Busy if a writer is active.
@@ -453,15 +445,10 @@ class Pager {
   const PagerOptions& options() const { return options_; }
   /// Backend the main file actually uses (kPread when uring fell back).
   IoBackend io_backend() const { return io_backend_; }
-  /// True while ENOSPC degraded read-only mode is active (cleared by the
-  /// space probe of the next BeginWrite once the filesystem has room).
-  bool degraded() const { return degraded_.load(std::memory_order_acquire); }
-  /// Human-readable cause of the current degraded mode (empty when not
-  /// degraded): the stringified error of the write that flipped it.
-  std::string degraded_cause() const;
-  /// Milliseconds (monotonic clock) since degraded mode was entered; 0
-  /// when not degraded.
-  uint64_t degraded_for_ms() const;
+  /// Snapshot of ENOSPC degraded read-only mode: whether it is on (the
+  /// space probe of the next BeginWrite clears it once the filesystem has
+  /// room), the error that turned it on, and for how long.
+  DegradedMode::State degraded_state() const { return degraded_.state(); }
   /// True when an absent checksum slot is treated as Corruption (format
   /// v4 with an intact sidecar); false while the lazy upgrade or a
   /// recreated sidecar leaves coverage incomplete. Scrub restores it.
@@ -484,27 +471,26 @@ class Pager {
   Pager(std::string path, const PagerOptions& options)
       : options_(options),
         path_(std::move(path)),
-        cache_(options.cache_bytes) {
+        cache_(options.cache_bytes),
+        degraded_(path_, options.enospc_probe_backoff_ms,
+                  options.enospc_probe_max_backoff_ms, &stats_) {
     cache_.set_io_stats(&stats_);
   }
 
   Status Initialize();
+  // Wraps a freshly opened pager file the same way for every role: the
+  // test fault wrapper, then the transient-retry decorator outermost.
+  std::unique_ptr<FileHandle> WrapFile(std::unique_ptr<FileHandle> file,
+                                       std::string_view role);
   // Reads a committed page image as of `seq`, bypassing txn dirty state.
   Result<PagePtr> ReadCommitted(PageId id, uint64_t seq);
   // CRC32C verification of a main-file page image against the sidecar
   // slot (no-op with checksum_pages off). Counts mismatches in
   // IoStats::corruptions_detected and returns Corruption.
   Status VerifyMainPage(PageId id, const uint8_t* bytes);
-  // Flips the pager into read-only degraded mode when `st` is
-  // ResourceExhausted (and the knob allows); returns `st` unchanged.
-  Status NoteWriteError(Status st);
   // The body BeginWrite and TryBeginWrite share once they hold the slot:
   // the degraded-mode probe, then a transaction at the current horizon.
   Result<std::unique_ptr<WriteTxnState>> StartWrite(WriterSlot slot);
-  // In degraded mode, probes the filesystem for free space (one page
-  // written past EOF, truncated back) and clears the flag on success;
-  // ResourceExhausted while space is still missing.
-  Status ProbeDegraded(const WriterSlot& slot);
   // One bounded slice of the scrub's verification walk; caller also holds
   // scrub_mutex_. Walks at most `max_pages` pages from scrub_.next_page,
   // advancing the cursor and accumulating into scrub_.in_progress;
@@ -517,23 +503,18 @@ class Pager {
   // wal_backpressure_wait_ms) for the registry to drain so the fold can
   // complete and the WAL can be reset.
   Status CheckpointImpl(const WriterSlot& slot, bool block_for_readers);
-  // A WAL write or fsync failed with commits already published: marks
-  // durability unknowable for this pager's lifetime (the sticky rule) and
-  // wakes group-commit waiters. Returns `st`.
-  Status PoisonCommitSync(Status st);
   // Post-commit WAL maintenance: backpressure (blocking) or best-effort
   // auto-checkpoint, depending on the frame count.
   void MaybeCheckpointAfterCommit();
-  // Group commit: returns once the WAL is durable through `commit_seq`,
-  // fsyncing as leader if no other committer's sync covers it.
-  Status WaitForDurable(uint64_t commit_seq);
-  // Records that the WAL is durable through `seq` (checkpoint/leader sync).
-  void PublishDurable(uint64_t seq);
+  // The reader backfill horizon: the oldest registered snapshot, or the
+  // commit head when no reader is registered. Caller holds mutex_.
+  uint64_t HorizonLocked() const;
 
   PagerOptions options_;
   std::string path_;
   std::unique_ptr<FileHandle> db_file_;
   std::unique_ptr<Wal> wal_;
+  std::unique_ptr<GroupCommit> group_commit_;  // over wal_; set at open
   std::unique_ptr<PageChecksumFile> checksums_;
   IoBackend io_backend_ = IoBackend::kPread;  // effective, set at open
   PageCache cache_;
@@ -547,15 +528,7 @@ class Pager {
   std::atomic<uint32_t> header_version_{0};
   std::atomic<bool> strict_checksums_{false};
 
-  // ENOSPC degraded read-only mode. Cause and entry time feed the health
-  // report; the probe backoff fields are only touched under the writer
-  // slot (ProbeDegraded's parameter), so they need no lock of their own.
-  std::atomic<bool> degraded_{false};
-  mutable std::mutex degraded_info_mutex_;
-  std::string degraded_cause_;
-  std::chrono::steady_clock::time_point degraded_since_{};
-  uint32_t enospc_probe_backoff_ms_ = 0;  // 0 until a probe fails
-  std::chrono::steady_clock::time_point enospc_next_probe_{};
+  DegradedMode degraded_;
 
   // Incremental-scrub cursor. scrub_mutex_ serializes scrub drivers (an
   // explicit Scrub vs. the background health monitor) and guards scrub_;
@@ -604,18 +577,6 @@ class Pager {
 
   // Writer exclusion (see WriterSlot).
   WriterSlot::Gate writer_gate_;
-
-  // Group-commit gate. Commits publish their frames and release the
-  // writer slot *before* the durability fsync, so the next committer can
-  // append while the current one syncs; one leader fsync then covers
-  // every commit appended before it started.
-  std::mutex commit_sync_mutex_;
-  std::condition_variable commit_sync_cv_;
-  bool commit_sync_in_flight_ = false;
-  // Sticky: once a WAL fsync fails, post-failure fsync state is undefined
-  // and no further synced commit is acknowledged until reopen.
-  bool commit_sync_failed_ = false;
-  uint64_t wal_durable_seq_ = 0;  // WAL fsynced through this commit seq
 };
 
 /// PageView over a read snapshot. The caller owns snapshot lifetime.

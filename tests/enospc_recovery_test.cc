@@ -115,7 +115,7 @@ TEST_F(EnospcRecoveryTest, MidCommitRollsBackDegradesAndRecovers) {
   Status st = CommitRows(engine.get(), 200, 100);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
-  EXPECT_TRUE(engine->pager()->degraded());
+  EXPECT_TRUE(engine->pager()->degraded_state().read_only);
 
   // Degraded mode: reads keep serving the committed state...
   EXPECT_EQ(CountRows(engine.get()).value(), 200u);
@@ -129,7 +129,7 @@ TEST_F(EnospcRecoveryTest, MidCommitRollsBackDegradesAndRecovers) {
   // commit lands normally.
   rig->FreeSpace();
   ASSERT_TRUE(CommitRows(engine.get(), 200, 100).ok());
-  EXPECT_FALSE(engine->pager()->degraded());
+  EXPECT_FALSE(engine->pager()->degraded_state().read_only);
   EXPECT_EQ(CountRows(engine.get()).value(), 300u);
 }
 
@@ -148,7 +148,7 @@ TEST_F(EnospcRecoveryTest, DegradedProbeIsRateLimited) {
 
   rig->ArmEnospcEverywhere();
   ASSERT_FALSE(CommitRows(engine.get(), 100, 10).ok());
-  ASSERT_TRUE(engine->pager()->degraded());
+  ASSERT_TRUE(engine->pager()->degraded_state().read_only);
 
   // Hammer writes while the disk stays full. Every attempt fails fast;
   // only a handful actually probe (100/200/400ms windows), where an
@@ -167,12 +167,12 @@ TEST_F(EnospcRecoveryTest, DegradedProbeIsRateLimited) {
   rig->FreeSpace();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (engine->pager()->degraded() &&
+  while (engine->pager()->degraded_state().read_only &&
          std::chrono::steady_clock::now() < deadline) {
     CommitRows(engine.get(), 100, 10).ok();  // probes once the window opens
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_FALSE(engine->pager()->degraded());
+  EXPECT_FALSE(engine->pager()->degraded_state().read_only);
   EXPECT_EQ(CountRows(engine.get()).value(), 110u);
 }
 
@@ -189,13 +189,13 @@ TEST_F(EnospcRecoveryTest, MidCheckpointDegradesAndRecovers) {
   Status st = engine->Checkpoint();
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
-  EXPECT_TRUE(engine->pager()->degraded());
+  EXPECT_TRUE(engine->pager()->degraded_state().read_only);
   // The WAL is still authoritative: reads are unaffected.
   EXPECT_EQ(CountRows(engine.get()).value(), 300u);
 
   rig->FreeSpace();
   ASSERT_TRUE(CommitRows(engine.get(), 300, 100).ok());  // probe recovers
-  EXPECT_FALSE(engine->pager()->degraded());
+  EXPECT_FALSE(engine->pager()->degraded_state().read_only);
   ASSERT_TRUE(engine->Checkpoint().ok());
   EXPECT_EQ(CountRows(engine.get()).value(), 400u);
 }
@@ -270,7 +270,7 @@ TEST_F(EnospcRecoveryTest, DbServesQueriesWhileDegraded) {
   Status st = db->Upsert({{"overflow", {1, 1, 1, 1, 1, 1, 1, 1}, {}}});
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsResourceExhausted()) << st.ToString();
-  EXPECT_TRUE(db->engine()->pager()->degraded());
+  EXPECT_TRUE(db->engine()->pager()->degraded_state().read_only);
 
   // Searches keep serving the committed state while the disk is full.
   SearchRequest req;
@@ -285,7 +285,7 @@ TEST_F(EnospcRecoveryTest, DbServesQueriesWhileDegraded) {
   // Space returns: writes resume and become searchable.
   rig->FreeSpace();
   ASSERT_TRUE(db->Upsert({{"back", {0, 0, 0, 0, 0, 0, 0, 2}, {}}}).ok());
-  EXPECT_FALSE(db->engine()->pager()->degraded());
+  EXPECT_FALSE(db->engine()->pager()->degraded_state().read_only);
   req.query = {0, 0, 0, 0, 0, 0, 0, 2};
   resp = db->Search(req).value();
   ASSERT_FALSE(resp.items.empty());

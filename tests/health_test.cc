@@ -357,7 +357,7 @@ TEST_F(HealthTest, EnospcReadOnlyHealthAndMonitorAutoRecovery) {
     Status st = db->Upsert(one);
     EXPECT_FALSE(st.ok());
   }
-  ASSERT_TRUE(db->engine()->pager()->degraded());
+  ASSERT_TRUE(db->engine()->pager()->degraded_state().read_only);
   {
     const HealthReport h = db->Health();
     EXPECT_EQ(h.verdict, HealthVerdict::kReadOnly);
@@ -384,11 +384,11 @@ TEST_F(HealthTest, EnospcReadOnlyHealthAndMonitorAutoRecovery) {
   rig->FreeSpace();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (db->engine()->pager()->degraded() &&
+  while (db->engine()->pager()->degraded_state().read_only &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_FALSE(db->engine()->pager()->degraded());
+  EXPECT_FALSE(db->engine()->pager()->degraded_state().read_only);
   EXPECT_GE(monitor.enospc_recoveries(), 1u);
   EXPECT_EQ(db->Health().verdict, HealthVerdict::kHealthy);
   monitor.Stop();

@@ -1,6 +1,6 @@
 // IVF module tests: clustering (Algorithm 1), schema codecs, partition
-// scans, ANN search (Algorithm 2), the in-memory baseline, maintenance
-// policy.
+// scans, ANN and exact plans through the query executor (Algorithm 2),
+// the in-memory baseline, maintenance policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "ivf/maintenance.h"
 #include "ivf/schema.h"
 #include "ivf/search.h"
+#include "query/executor.h"
 #include "storage/engine.h"
 #include "storage/key_encoding.h"
 
@@ -273,6 +274,42 @@ class IvfSearchTest : public ::testing::Test {
     ASSERT_TRUE(engine_->Commit(std::move(txn)).ok());
   }
 
+  static PhysicalPlan Plan(QueryPlan kind, std::vector<float> query,
+                           uint32_t k, uint32_t nprobe = 0) {
+    PhysicalPlan plan;
+    plan.query = std::move(query);
+    plan.k = k;
+    plan.nprobe = nprobe;
+    plan.plan = kind;
+    return plan;
+  }
+
+  // Runs `plan` through the query executor over a fresh read snapshot —
+  // the path DB::Search takes once a request is lowered.
+  PlanResult Execute(const PhysicalPlan& plan, ThreadPool* pool = nullptr) {
+    auto txn = engine_->BeginRead().value();
+    BTree centroids = txn->OpenTable(kCentroidsTable).value();
+    BTree meta = txn->OpenTable(kMetaTable).value();
+    const CentroidSet cset = LoadCentroidSet(txn->view(), centroids, meta,
+                                             kDim, Metric::kL2)
+                                 .value();
+    QueryExecutor executor(ExecutorContext{
+        .vectors = txn->OpenTable(kVectorsTable).value(),
+        .vidmap = txn->OpenTable(kVidMapTable).value(),
+        .centroids = &cset,
+        .dim = kDim,
+        .metric = Metric::kL2,
+        .pool = pool,
+        .sq8 = std::nullopt,
+        .sq8params = std::nullopt,
+        .attributes = std::nullopt});
+    Result<std::vector<PlanResult>> results =
+        executor.Execute({plan}, nullptr);
+    EXPECT_TRUE(results.ok()) << results.status().ToString();
+    if (!results.ok()) return PlanResult{};
+    return std::move((*results)[0]);
+  }
+
   std::filesystem::path dir_;
   std::unique_ptr<StorageEngine> engine_;
 };
@@ -311,44 +348,29 @@ TEST_F(IvfSearchTest, ScanPartitionSeesOnlyItsRows) {
   EXPECT_EQ(counters.rows_scanned, 50u);
 }
 
-TEST_F(IvfSearchTest, AnnSearchFindsNearestAndDelta) {
+TEST_F(IvfSearchTest, AnnPlanFindsNearestAndDelta) {
   PopulateSimpleIndex();
-  auto txn = engine_->BeginRead().value();
-  BTree vectors = txn->OpenTable(kVectorsTable).value();
-  BTree centroids = txn->OpenTable(kCentroidsTable).value();
-  BTree meta = txn->OpenTable(kMetaTable).value();
-  auto cset = LoadCentroidSet(txn->view(), centroids, meta, kDim,
-                              Metric::kL2).value();
   std::vector<float> q(kDim, 0.f);
   q[0] = 20.f;  // dead center of partition 2; the delta row sits exactly here
-  SearchCounters counters;
-  auto result = AnnSearch(vectors, cset, kDim, q.data(), {5, 1}, nullptr,
-                          nullptr, &counters).value();
-  ASSERT_EQ(result.size(), 5u);
+  const PlanResult r = Execute(Plan(QueryPlan::kUnfiltered, q, 5, 1));
+  ASSERT_EQ(r.neighbors.size(), 5u);
   // The delta vector is an exact match: distance 0, ranked first.
-  EXPECT_EQ(result[0].id, 999u);
-  EXPECT_FLOAT_EQ(result[0].distance, 0.f);
-  EXPECT_EQ(counters.partitions_scanned, 2u);  // 1 probe + delta
+  EXPECT_EQ(r.neighbors[0].id, 999u);
+  EXPECT_FLOAT_EQ(r.neighbors[0].distance, 0.f);
+  EXPECT_EQ(r.counters.partitions_scanned, 2u);  // 1 probe + delta
 }
 
 TEST_F(IvfSearchTest, RecallImprovesWithNprobe) {
   PopulateSimpleIndex();
-  auto txn = engine_->BeginRead().value();
-  BTree vectors = txn->OpenTable(kVectorsTable).value();
-  BTree centroids = txn->OpenTable(kCentroidsTable).value();
-  BTree meta = txn->OpenTable(kMetaTable).value();
-  auto cset = LoadCentroidSet(txn->view(), centroids, meta, kDim,
-                              Metric::kL2).value();
   // Query between partitions 1 and 2: a single probe misses neighbors.
   std::vector<float> q(kDim, 0.f);
   q[0] = 15.f;
-  auto truth = ExactSearch(vectors, Metric::kL2, kDim, q.data(), 20, nullptr,
-                           nullptr).value();
+  const PlanResult truth = Execute(Plan(QueryPlan::kExact, q, 20));
+  ASSERT_EQ(truth.neighbors.size(), 20u);
   double prev_recall = -1;
   for (uint32_t nprobe : {1u, 2u, 3u}) {
-    auto got = AnnSearch(vectors, cset, kDim, q.data(), {20, nprobe},
-                         nullptr, nullptr, nullptr).value();
-    const double recall = RecallAtK(got, truth);
+    const PlanResult got = Execute(Plan(QueryPlan::kUnfiltered, q, 20, nprobe));
+    const double recall = RecallAtK(got.neighbors, truth.neighbors);
     EXPECT_GE(recall, prev_recall);  // monotonically non-decreasing
     prev_recall = recall;
   }
@@ -357,24 +379,17 @@ TEST_F(IvfSearchTest, RecallImprovesWithNprobe) {
 
 TEST_F(IvfSearchTest, FilterDropsRowsBeforeHeap) {
   PopulateSimpleIndex();
-  auto txn = engine_->BeginRead().value();
-  BTree vectors = txn->OpenTable(kVectorsTable).value();
-  BTree centroids = txn->OpenTable(kCentroidsTable).value();
-  BTree meta = txn->OpenTable(kMetaTable).value();
-  auto cset = LoadCentroidSet(txn->view(), centroids, meta, kDim,
-                              Metric::kL2).value();
   std::vector<float> q(kDim, 0.f);
   q[0] = 20.f;
-  RowFilter even_only = [](uint64_t vid) -> Result<bool> {
-    return vid % 2 == 0;
-  };
-  SearchCounters counters;
-  auto result = AnnSearch(vectors, cset, kDim, q.data(), {10, 1}, nullptr,
-                          even_only, &counters).value();
-  for (const Neighbor& n : result) {
+  PhysicalPlan plan = Plan(QueryPlan::kPostFilter, q, 10, 1);
+  plan.filter = std::make_shared<const RowFilter>(
+      [](uint64_t vid) -> Result<bool> { return vid % 2 == 0; });
+  const PlanResult r = Execute(plan);
+  ASSERT_FALSE(r.neighbors.empty());
+  for (const Neighbor& n : r.neighbors) {
     EXPECT_EQ(n.id % 2, 0u);
   }
-  EXPECT_GT(counters.rows_filtered, 0u);
+  EXPECT_GT(r.counters.rows_filtered, 0u);
 }
 
 TEST_F(IvfSearchTest, SearchByVidsIsExactOverSubset) {
@@ -396,19 +411,16 @@ TEST_F(IvfSearchTest, SearchByVidsIsExactOverSubset) {
   }
 }
 
-TEST_F(IvfSearchTest, ExactSearchRecordsEachRowsPartition) {
-  // Scan blocks of the whole-table scan would span the small partitions
+TEST_F(IvfSearchTest, ExactPlanRecordsEachRowsPartition) {
+  // Scan blocks of the exhaustive scan would span the small partitions
   // here unless they flush at every partition change.
   PopulateSimpleIndex();
-  auto txn = engine_->BeginRead().value();
-  BTree vectors = txn->OpenTable(kVectorsTable).value();
-  BTree vidmap = txn->OpenTable(kVidMapTable).value();
   std::vector<float> q(kDim, 0.f);
-  auto all = ExactSearch(vectors, Metric::kL2, kDim, q.data(), 1000, nullptr,
-                         nullptr)
-                 .value();
-  ASSERT_EQ(all.size(), 151u);
-  for (const Neighbor& n : all) {
+  const PlanResult all = Execute(Plan(QueryPlan::kExact, q, 1000));
+  ASSERT_EQ(all.neighbors.size(), 151u);
+  auto txn = engine_->BeginRead().value();
+  BTree vidmap = txn->OpenTable(kVidMapTable).value();
+  for (const Neighbor& n : all.neighbors) {
     auto loc = vidmap.Get(key::U64(n.id)).value();
     ASSERT_TRUE(loc.has_value());
     uint32_t partition;
@@ -458,22 +470,16 @@ TEST_F(IvfSearchTest, SearchByLocationsReadsRecordedRows) {
 
 TEST_F(IvfSearchTest, ParallelScanMatchesSerial) {
   PopulateSimpleIndex();
-  auto txn = engine_->BeginRead().value();
-  BTree vectors = txn->OpenTable(kVectorsTable).value();
-  BTree centroids = txn->OpenTable(kCentroidsTable).value();
-  BTree meta = txn->OpenTable(kMetaTable).value();
-  auto cset = LoadCentroidSet(txn->view(), centroids, meta, kDim,
-                              Metric::kL2).value();
   std::vector<float> q(kDim, 1.f);
   q[0] = 17.f;
   ThreadPool pool(4);
-  auto serial = AnnSearch(vectors, cset, kDim, q.data(), {10, 3}, nullptr,
-                          nullptr, nullptr).value();
-  auto parallel = AnnSearch(vectors, cset, kDim, q.data(), {10, 3}, &pool,
-                            nullptr, nullptr).value();
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].id, parallel[i].id);
+  const PhysicalPlan plan = Plan(QueryPlan::kUnfiltered, q, 10, 3);
+  const PlanResult serial = Execute(plan);
+  const PlanResult parallel = Execute(plan, &pool);
+  ASSERT_EQ(serial.neighbors.size(), 10u);
+  ASSERT_EQ(serial.neighbors.size(), parallel.neighbors.size());
+  for (size_t i = 0; i < serial.neighbors.size(); ++i) {
+    EXPECT_EQ(serial.neighbors[i].id, parallel.neighbors[i].id);
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "ivf/scan.h"
 #include "ivf/search.h"
+#include "query/executor.h"
 #include "storage/engine.h"
 #include "storage/key_encoding.h"
 
@@ -142,18 +143,27 @@ TEST_F(ScanEdgeTest, CorruptRowSurfacesAsCorruption) {
   engine_->Rollback(std::move(txn));
 }
 
-TEST_F(ScanEdgeTest, ExactSearchKLargerThanCollection) {
+TEST_F(ScanEdgeTest, ExactPlanKLargerThanCollection) {
   auto txn = engine_->BeginWrite().value();
   BTree vectors = txn->OpenOrCreateTable(kVectorsTable).value();
   for (uint64_t vid = 1; vid <= 3; ++vid) {
     PutRow(&vectors, 1, vid, static_cast<float>(vid));
   }
-  const float q[kDim] = {0, 0, 0, 0};
-  auto result =
-      ExactSearch(vectors, Metric::kL2, kDim, q, 10, nullptr, nullptr)
-          .value();
-  ASSERT_EQ(result.size(), 3u);
-  EXPECT_EQ(result[0].id, 1u);  // closest to 0
+  PhysicalPlan plan;
+  plan.query.assign(kDim, 0.f);
+  plan.k = 10;
+  plan.plan = QueryPlan::kExact;
+  QueryExecutor executor(ExecutorContext{
+      .vectors = vectors,
+      .vidmap = txn->OpenOrCreateTable(kVidMapTable).value(),
+      .dim = kDim,
+      .metric = Metric::kL2,
+      .sq8 = std::nullopt,
+      .sq8params = std::nullopt,
+      .attributes = std::nullopt});
+  auto result = executor.Execute({plan}, nullptr).value();
+  ASSERT_EQ(result[0].neighbors.size(), 3u);
+  EXPECT_EQ(result[0].neighbors[0].id, 1u);  // closest to 0
   engine_->Rollback(std::move(txn));
 }
 

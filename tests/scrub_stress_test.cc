@@ -218,6 +218,15 @@ TEST_F(ScrubStressTest, BackgroundHealerRepairsUnderConcurrentTraffic) {
     threads.emplace_back([&, w] {
       std::mt19937 rng(1000 + w);
       std::uniform_real_distribution<float> dist(-1.f, 1.f);
+      // Hold the first upsert until a pass is observed active, so commits
+      // land mid-pass however the threads are scheduled: the I/O budget
+      // spreads the pass over many throttled steps, and once the verdict
+      // is healthy the service starts no second pass to commit into.
+      bool scrub_was_active = false;
+      while (!stop.load(std::memory_order_relaxed) &&
+             !(scrub_was_active = pager->scrub_state().active)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
       for (int n = 0; !stop.load(std::memory_order_relaxed); ++n) {
         std::vector<UpsertRequest> batch(3);
         for (int j = 0; j < 3; ++j) {
@@ -230,7 +239,7 @@ TEST_F(ScrubStressTest, BackgroundHealerRepairsUnderConcurrentTraffic) {
           std::lock_guard<std::mutex> lock(truth_mutex);
           for (const UpsertRequest& r : batch) truth[r.asset_id] = r.vector;
         }
-        const bool scrub_was_active = pager->scrub_state().active;
+        if (n > 0) scrub_was_active = pager->scrub_state().active;
         Status st = db->Upsert(batch);
         if (st.ok()) {
           acked_commits.fetch_add(1, std::memory_order_relaxed);
