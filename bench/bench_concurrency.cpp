@@ -1,19 +1,13 @@
 // Cross-request MQO under server-style traffic: N client threads issue
 // independent DB::Search calls in a closed loop; the admission scheduler
-// (DbOptions::mqo_window_us) coalesces concurrent submissions into shared
-// executor groups. This benchmark measures what that buys — QPS and
-// p50/p99 latency at 1/2/4/8/16 client threads, coalescing on vs off,
-// unfiltered and filtered — on one database snapshot (the two modes
-// reopen the same file, so partitions, cache sizing, and plans match).
-//
-// Headline claims (committed BENCH_concurrency.json):
-//   - at >= 8 client threads, coalesced QPS >= 1.5x the uncoalesced path
-//     on both workloads;
-//   - at 1 client thread the scheduler's fast path keeps the p50
-//     regression under 10%.
+// (src/query/scheduler.h) coalesces concurrent submissions into shared
+// executor groups. This benchmark measures QPS, p50/p99 latency and the
+// mean coalesced group at 1/2/4/8/16 client threads, unfiltered and
+// filtered, on one database file (every cell reopens it, so partitions,
+// cache sizing, and plans match).
 //
 // Machine-readable output: BENCH_concurrency.json, one row per
-// (threads, filtered, coalesced): qps, p50/p99 ms, mean coalesced group.
+// (threads, filtered): qps, p50/p99 ms, mean coalesced group.
 // MICRONN_BENCH_SCALE scales the row count (default 0.02: ~40k vectors at
 // dim 128); MICRONN_BENCH_SECONDS sets the measured window per
 // configuration (default 1.5).
@@ -40,7 +34,6 @@ struct RunResult {
 struct JsonRow {
   size_t threads;
   bool filtered;
-  bool coalesced;
   RunResult r;
 };
 
@@ -157,7 +150,7 @@ int main() {
   const double scale = BenchScale(0.02);
   const double seconds = BenchSeconds(1.5);
   BenchDir dir("concurrency");
-  std::printf("== Cross-request MQO: concurrent clients, coalescing on/off "
+  std::printf("== Cross-request MQO: concurrent clients "
               "(scale %.4f, %.1fs/run) ==\n\n",
               scale, seconds);
 
@@ -171,7 +164,7 @@ int main() {
 
   const std::string path = dir.Path("concurrency.mnn");
   {
-    // Build once; both modes reopen this file.
+    // Build once; every cell reopens this file.
     DbOptions options = DefaultBenchOptions();
     options.dim = spec.dim;
     options.metric = spec.metric;
@@ -200,34 +193,24 @@ int main() {
   const size_t thread_counts[] = {1, 2, 4, 8, 16};
   std::vector<JsonRow> rows;
 
-  // The off/on pair of each cell runs back to back so slow drift in the
-  // environment cannot skew one whole mode against the other.
-  std::printf("  %8s %9s %11s %11s %9s %10s %10s %7s\n", "threads",
-              "filtered", "off-qps", "on-qps", "speedup", "on-p50",
-              "on-p99", "group");
+  std::printf("  %8s %9s %11s %10s %10s %7s\n", "threads", "filtered",
+              "qps", "p50", "p99", "group");
   for (const bool filtered : {false, true}) {
     for (const size_t threads : thread_counts) {
-      RunResult pair[2];
-      for (const bool coalesced : {false, true}) {
-        DbOptions options = DefaultBenchOptions();
-        options.target_cluster_size = 800;
-        // Small-device cache profile (paper §4.1.2): the SQ8 sidecar plus
-        // the rerank working set outgrow the page cache, so partition
-        // scans are genuine page traffic — the disk-resident regime where
-        // shared scans dedupe real I/O, not just decode work.
-        options.pager.cache_bytes = 4ull << 20;
-        options.mqo_window_us = coalesced ? 150 : 0;
-        auto db = DB::Open(path, options).value();
-        pair[coalesced ? 1 : 0] =
-            RunClients(db.get(), ds, threads, filtered, seconds);
-        rows.push_back(
-            JsonRow{threads, filtered, coalesced, pair[coalesced ? 1 : 0]});
-        db->Close().ok();
-      }
-      std::printf("  %8zu %9s %11.1f %11.1f %8.2fx %10.3f %10.3f %7.2f\n",
-                  threads, filtered ? "yes" : "no", pair[0].qps, pair[1].qps,
-                  pair[1].qps / pair[0].qps, pair[1].p50_ms, pair[1].p99_ms,
-                  pair[1].mean_coalesced);
+      DbOptions options = DefaultBenchOptions();
+      options.target_cluster_size = 800;
+      // Small-device cache profile (paper §4.1.2): the SQ8 sidecar plus
+      // the rerank working set outgrow the page cache, so partition
+      // scans are genuine page traffic — the disk-resident regime where
+      // shared scans dedupe real I/O, not just decode work.
+      options.pager.cache_bytes = 4ull << 20;
+      auto db = DB::Open(path, options).value();
+      const RunResult r = RunClients(db.get(), ds, threads, filtered, seconds);
+      rows.push_back(JsonRow{threads, filtered, r});
+      db->Close().ok();
+      std::printf("  %8zu %9s %11.1f %10.3f %10.3f %7.2f\n", threads,
+                  filtered ? "yes" : "no", r.qps, r.p50_ms, r.p99_ms,
+                  r.mean_coalesced);
     }
   }
   std::printf("\n");
@@ -241,12 +224,10 @@ int main() {
       const JsonRow& r = rows[i];
       std::fprintf(
           f,
-          "    {\"threads\": %zu, \"filtered\": %s, \"coalesced\": %s, "
-          "\"qps\": %.2f, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-          "\"mean_group\": %.3f}%s\n",
-          r.threads, r.filtered ? "true" : "false",
-          r.coalesced ? "true" : "false", r.r.qps, r.r.p50_ms, r.r.p99_ms,
-          r.r.mean_coalesced, i + 1 < rows.size() ? "," : "");
+          "    {\"threads\": %zu, \"filtered\": %s, \"qps\": %.2f, "
+          "\"p50_ms\": %.4f, \"p99_ms\": %.4f, \"mean_group\": %.3f}%s\n",
+          r.threads, r.filtered ? "true" : "false", r.r.qps, r.r.p50_ms,
+          r.r.p99_ms, r.r.mean_coalesced, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -255,7 +236,5 @@ int main() {
     std::fprintf(stderr, "failed to write BENCH_concurrency.json\n");
     return 1;
   }
-  std::printf("shape check: coalesced qps >= 1.5x uncoalesced at >= 8 "
-              "threads; single-thread p50 regression < 10%%\n");
   return 0;
 }

@@ -146,11 +146,6 @@ Cell RunConfig(const std::string& path, const DatasetSpec& spec,
     // artifact, not the overlap being measured. Cache pressure itself is
     // covered by the real cells and the eviction counters.
     options.pager.cache_bytes = 16ull << 20;
-    // Float-only scans: the sq8 plan adds a rerank stage whose one-chunk
-    // point reads submit and reap back-to-back (nothing to hide behind),
-    // and the sim arm isolates the partition-scan pipeline. The sq8 path
-    // is covered by the real (non-sim) cells.
-    options.sq8_scan = false;
     const bool async_capable =
         ResolveIoBackend(backend) == IoBackend::kUring;
     options.pager.file_wrapper = [async_capable](
@@ -178,6 +173,11 @@ Cell RunConfig(const std::string& path, const DatasetSpec& spec,
     // submit/score/reap pipeline overlaps — should dominate the fixed
     // per-query setup reads (centroid probe, result resolution).
     req.nprobe = sim ? 16 : (spec.dim >= 512 ? 4 : 8);
+    // The sim arm scans float rows only: the sq8 plan adds a rerank stage
+    // whose one-chunk point reads submit and reap back-to-back (nothing to
+    // hide behind), and the sim arm isolates the partition-scan pipeline.
+    // The sq8 path is covered by the real (non-sim) cells.
+    if (sim) req.quantized = false;
     return req;
   };
   auto run = [&](size_t count) {

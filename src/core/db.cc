@@ -468,8 +468,8 @@ Result<std::vector<SearchResponse>> DB::BatchSearch(
 
 // The unified query path (§3.4–§3.5) now runs behind the admission
 // scheduler: a submission either executes immediately (no concurrent
-// peers / scheduler disabled) or is merged with in-flight submissions
-// into one coalesced group that the leader executes on behalf of all.
+// peers) or is merged with the submissions staged beside it into one
+// coalesced group that the leader executes on behalf of all.
 Result<std::vector<SearchResponse>> DB::RunQueries(
     const SearchRequest* requests, size_t n) {
   if (n == 0) return std::vector<SearchResponse>();

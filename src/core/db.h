@@ -139,10 +139,9 @@ class DB {
       : options_(std::move(options)),
         engine_(std::move(engine)),
         pool_(options_.search_threads),
-        scheduler_(options_.mqo_window_us, options_.mqo_max_group,
-                   [this](const std::vector<QueryGroupEntry*>& group) {
-                     ExecuteQueryGroup(group);
-                   }) {}
+        scheduler_([this](const std::vector<QueryGroupEntry*>& group) {
+          ExecuteQueryGroup(group);
+        }) {}
 
   // Bootstrap/validation at open.
   Status InitializeSchema();

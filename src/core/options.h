@@ -51,29 +51,14 @@ struct DbOptions {
   /// (recall/latency knob of the two-level lookup).
   uint32_t centroid_super_probe = 8;
 
-  // --- Cross-request MQO (admission scheduler) ---
-  /// Concurrent Search/BatchSearch calls are coalesced into one executor
-  /// group (one snapshot, shared partition scans — the §3.4 sharing
-  /// extended across requests): the first arrival leads, collects peers
-  /// that arrive within this window, executes the merged group, and
-  /// distributes responses. A submission with no concurrent peers skips
-  /// the window entirely (near-zero added single-client latency). 0
-  /// disables the scheduler: every call plans and executes on its own.
-  /// See docs/ARCHITECTURE.md "Request scheduler".
-  uint32_t mqo_window_us = 100;
-  /// Cap on the total queries merged into one executed group (a
-  /// submission is never split across groups).
-  uint32_t mqo_max_group = 64;
-
   // --- Quantized scans (SQ8) ---
-  /// ANN partition scans read the int8 scalar-quantized copy of each row
-  /// (~4x fewer scanned bytes) and re-score the top k*alpha candidates at
-  /// full precision. Per-partition parameters are maintained by index
-  /// builds and delta flushes; partitions without parameters (e.g. before
-  /// the first build) transparently scan full precision. Exact and
-  /// pre-filter plans never use the quantized path. Opt out here, or per
-  /// request via SearchRequest::quantized.
-  bool sq8_scan = true;
+  // ANN partition scans read the int8 scalar-quantized copy of each row
+  // (~4x fewer scanned bytes) and re-score the top k*alpha candidates at
+  // full precision. Per-partition parameters are maintained by index
+  // builds and delta flushes; partitions without parameters (e.g. before
+  // the first build) transparently scan full precision. Exact and
+  // pre-filter plans never use the quantized path. Opt out per request
+  // via SearchRequest::quantized.
   /// Rerank over-fetch factor alpha: quantized scans collect
   /// ceil(k * alpha) candidates before the full-precision rerank. Larger
   /// alpha buys recall at the cost of more rerank point-reads.
@@ -173,9 +158,9 @@ struct SearchRequest {
   PlanOverride plan = PlanOverride::kAuto;
   /// Exhaustive exact KNN instead of ANN.
   bool exact = false;
-  /// Per-request override of DbOptions::sq8_scan (benchmarks and tests
-  /// compare the quantized and float paths over one snapshot). Unset
-  /// defers to the DB option.
+  /// Quantized (SQ8) ANN partition scans; false forces full-precision
+  /// scans (benchmarks and tests compare the two paths over one
+  /// snapshot). Unset means quantized.
   std::optional<bool> quantized;
 };
 

@@ -166,8 +166,8 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
   // per representation; per-(worker, plan) heaps and counters. Slot
   // layout: pool workers first, the calling thread last — the caller
   // always drains work too, so a scheduler leader executing a coalesced
-  // group keeps making progress even when the pool is saturated by other
-  // groups (nested execution, see ThreadPool::HelpWait).
+  // group never idles while its scans sit queued (nested execution, see
+  // ThreadPool::HelpWait).
   const size_t pool_threads =
       ctx_.pool != nullptr ? ctx_.pool->num_threads() : 0;
   const size_t n_workers = pool_threads + 1;

@@ -81,7 +81,7 @@ struct QueryExplain {
 
   /// Independent submissions (Search/BatchSearch calls) the admission
   /// scheduler coalesced into the executed group — 1 when the query ran
-  /// alone (fast path, pass-through, or no concurrent peers). When > 1,
+  /// alone (no concurrent peers staged beside it). When > 1,
   /// `group_size` counts the queries of *all* coalesced submissions.
   uint32_t coalesced_group_size = 1;
   /// Microseconds this request spent in the scheduler's staging queue

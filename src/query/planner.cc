@@ -89,9 +89,9 @@ Result<PhysicalPlan> QueryPlanner::Lower(const SearchRequest& request) {
 
   // Quantized-vs-exact scan choice: SQ8 serves ANN partition scans only —
   // exact plans promise exhaustive full-precision answers, and pre-filter
-  // plans already score their candidates exactly. Request override beats
-  // the DB default.
-  const bool want_quantized = request.quantized.value_or(options_->sq8_scan);
+  // plans already score their candidates exactly. Quantized unless the
+  // request opts out.
+  const bool want_quantized = request.quantized.value_or(true);
   auto enable_quantized = [&] {
     if (!want_quantized) return;
     plan.quantized = true;

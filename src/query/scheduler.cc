@@ -1,7 +1,5 @@
 #include "query/scheduler.h"
 
-#include <algorithm>
-
 #include "core/options.h"
 
 namespace micronn {
@@ -25,7 +23,7 @@ std::vector<QueryGroupEntry*> QueryScheduler::CollectGroupLocked() {
     QueryGroupEntry* entry = queue_.front();
     // Always admit at least one submission; after that, stop where the
     // query cap would be exceeded (a submission is never split).
-    if (!group.empty() && queries + entry->n > max_group_queries_) break;
+    if (!group.empty() && queries + entry->n > kMaxGroupQueries) break;
     queue_.pop_front();
     queued_queries_ -= entry->n;
     group.push_back(entry);
@@ -36,17 +34,6 @@ std::vector<QueryGroupEntry*> QueryScheduler::CollectGroupLocked() {
 
 Result<std::vector<SearchResponse>> QueryScheduler::Submit(
     const SearchRequest* requests, size_t n) {
-  if (window_us_ == 0) {
-    // Pass-through: no queue, no lock, a group of one.
-    stats_.passthrough.fetch_add(1, std::memory_order_relaxed);
-    QueryGroupEntry entry;
-    entry.requests = requests;
-    entry.n = n;
-    executor_({&entry});
-    if (!entry.status.ok()) return entry.status;
-    return std::move(entry.responses);
-  }
-
   QueryGroupEntry entry;
   entry.requests = requests;
   entry.n = n;
@@ -56,52 +43,45 @@ Result<std::vector<SearchResponse>> QueryScheduler::Submit(
   stats_.submissions.fetch_add(1, std::memory_order_relaxed);
   queue_.push_back(&entry);
   queued_queries_ += n;
-  // Wake only a leader parked in its admission window (an arrival can
-  // satisfy its group cap); other waiters' predicates are unaffected by
-  // arrivals.
-  if (leader_in_window_) cv_window_.notify_one();
+  // Arrivals wake a lingering leader only once its group is full; the
+  // waiters that share cv_ re-check and sleep on.
+  if (leader_lingering_ && queued_queries_ >= kMaxGroupQueries) {
+    cv_.notify_all();
+  }
 
-  for (;;) {
-    if (entry.done) break;
-    if (!leader_active_) {
-      leader_active_ = true;
-      // Leader. Peers already staged mean traffic is flowing: hold the
-      // admission window open for stragglers (bounded by the query cap).
-      // Alone in the queue = no concurrent demand: execute immediately,
-      // so an isolated client never pays the window.
-      if (queue_.size() > 1) {
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::microseconds(window_us_);
-        leader_in_window_ = true;
-        cv_window_.wait_until(lock, deadline, [this] {
-          return queued_queries_ >= max_group_queries_;
-        });
-        leader_in_window_ = false;
-      }
-      std::vector<QueryGroupEntry*> group = CollectGroupLocked();
-      const auto start = std::chrono::steady_clock::now();
-      for (QueryGroupEntry* e : group) {
-        e->wait_us = MicrosSince(e->enqueued_at, start);
-        e->group_entries = static_cast<uint32_t>(group.size());
-      }
-      stats_.groups.fetch_add(1, std::memory_order_relaxed);
-      if (group.size() > 1) {
-        stats_.coalesced_groups.fetch_add(1, std::memory_order_relaxed);
-        stats_.coalesced_submissions.fetch_add(group.size(),
-                                               std::memory_order_relaxed);
-      }
-      lock.unlock();
-      executor_(group);
-      lock.lock();
-      for (QueryGroupEntry* e : group) e->done = true;
-      leader_active_ = false;
-      // Wake every waiter: finished entries return, and — when arrivals
-      // queued up behind the cap or during execution — one of the
-      // still-pending ones takes over as the next leader.
-      cv_.notify_all();
-    } else {
-      cv_.wait(lock, [this, &entry] { return entry.done || !leader_active_; });
+  while (!entry.done) {
+    if (leader_active_) {
+      cv_.wait(lock);
+      continue;
     }
+    leader_active_ = true;
+    if (queue_.size() > 1) {
+      // Peers already staged mean traffic is flowing: linger for the
+      // clients of the group that just finished.
+      leader_lingering_ = true;
+      cv_.wait_for(lock, kLinger,
+                   [this] { return queued_queries_ >= kMaxGroupQueries; });
+      leader_lingering_ = false;
+    }
+    std::vector<QueryGroupEntry*> group = CollectGroupLocked();
+    const auto start = std::chrono::steady_clock::now();
+    for (QueryGroupEntry* e : group) {
+      e->wait_us = MicrosSince(e->enqueued_at, start);
+      e->group_entries = static_cast<uint32_t>(group.size());
+    }
+    stats_.groups.fetch_add(1, std::memory_order_relaxed);
+    if (group.size() > 1) {
+      stats_.coalesced_groups.fetch_add(1, std::memory_order_relaxed);
+    }
+    lock.unlock();
+    executor_(group);
+    lock.lock();
+    for (QueryGroupEntry* e : group) e->done = true;
+    leader_active_ = false;
+    // Wake every waiter: finished entries return, and one of the
+    // still-pending ones (queued behind the cap or during execution)
+    // takes over as the next leader.
+    cv_.notify_all();
   }
 
   if (!entry.status.ok()) return entry.status;

@@ -5,25 +5,24 @@
 // from many threads, each of which used to run its own planner + executor
 // group and share nothing. The scheduler converts that concurrency into
 // batch efficiency with SQLite-group-commit-style leader election — no
-// dedicated thread:
+// dedicated thread, no bypass:
 //
-//   - Every Search/BatchSearch submission enqueues into a bounded staging
-//     queue. The first arrival with no active leader becomes the leader.
-//   - Fast path: a leader that finds no queued peers executes its own
-//     submission immediately — a single client pays one uncontended
-//     mutex round-trip over the unscheduled path, nothing more.
+//   - Every Search/BatchSearch submission enqueues into a staging queue.
+//     The first arrival with no active leader becomes the leader.
+//   - A leader alone in the queue executes its submission at once: a lone
+//     client pays one uncontended mutex round-trip over calling the
+//     executor directly.
 //   - A leader that finds peers already staged (they arrived while the
-//     previous group was executing) waits up to `mqo_window_us` for
-//     stragglers, capped at `mqo_max_group` queries, then snapshots the
-//     queue into one group.
+//     previous group executed) lingers up to kLinger so the clients that
+//     group just released can come back, then takes everything staged (up
+//     to kMaxGroupQueries queries, never splitting a submission). Without
+//     the linger a closed loop of clients splits into two alternating
+//     half-size groups, which share half as many scans.
 //   - The leader runs the whole group through one GroupExecutor call (one
 //     read snapshot, one planner, one QueryExecutor::Execute — so scan
 //     sharing, predicate dedup, and shared attribute decodes all span
 //     submissions), distributes per-submission responses, hands
 //     leadership to the next waiter, and returns to its caller.
-//
-// `mqo_window_us = 0` disables the scheduler entirely: Submit invokes the
-// GroupExecutor inline with a group of one and never touches the queue.
 //
 // docs/ARCHITECTURE.md ("Request scheduler") walks the design; the
 // EXPLAIN fields `coalesced_group_size` / `coalesce_wait_us` make the
@@ -60,8 +59,7 @@ struct QueryGroupEntry {
   Status status;
   std::vector<SearchResponse> responses;
 
-  /// Microseconds spent in the staging queue before the group snapshot
-  /// (0 on the pass-through path).
+  /// Microseconds spent in the staging queue before the group snapshot.
   uint64_t wait_us = 0;
   /// Submissions merged into the executed group, this one included.
   uint32_t group_entries = 1;
@@ -74,27 +72,27 @@ struct QueryGroupEntry {
 
 /// Monotonic scheduler counters (observability + tests).
 struct SchedulerStats {
-  std::atomic<uint64_t> submissions{0};    // staged through the queue
-  std::atomic<uint64_t> passthrough{0};    // executed inline (window = 0)
-  std::atomic<uint64_t> groups{0};         // executor groups run
-  std::atomic<uint64_t> coalesced_groups{0};       // groups with >= 2 entries
-  std::atomic<uint64_t> coalesced_submissions{0};  // entries in such groups
+  std::atomic<uint64_t> submissions{0};       // staged through the queue
+  std::atomic<uint64_t> groups{0};            // executor groups run
+  std::atomic<uint64_t> coalesced_groups{0};  // groups with >= 2 entries
 };
 
 class QueryScheduler {
  public:
+  /// Cap on the total queries merged into one executed group. A larger
+  /// submission still runs whole, as a group of its own. Reaching it also
+  /// ends a leader's linger early.
+  static constexpr size_t kMaxGroupQueries = 64;
+  /// How long a leader that finds peers staged waits for more.
+  static constexpr std::chrono::microseconds kLinger{100};
+
   /// Executes one merged group: fills every entry's status + responses.
   /// Called on the leader's thread, outside the scheduler mutex.
   using GroupExecutor =
       std::function<void(const std::vector<QueryGroupEntry*>&)>;
 
-  /// `window_us` = 0 disables staging (every Submit executes inline).
-  /// `max_group_queries` caps the merged group by total query count.
-  QueryScheduler(uint32_t window_us, uint32_t max_group_queries,
-                 GroupExecutor executor)
-      : window_us_(window_us),
-        max_group_queries_(max_group_queries > 0 ? max_group_queries : 1),
-        executor_(std::move(executor)) {}
+  explicit QueryScheduler(GroupExecutor executor)
+      : executor_(std::move(executor)) {}
 
   QueryScheduler(const QueryScheduler&) = delete;
   QueryScheduler& operator=(const QueryScheduler&) = delete;
@@ -105,30 +103,22 @@ class QueryScheduler {
                                              size_t n);
 
   const SchedulerStats& stats() const { return stats_; }
-  uint32_t window_us() const { return window_us_; }
 
  private:
-  // Takes up to max_group_queries_ staged queries off the queue front.
+  // Takes up to kMaxGroupQueries staged queries off the queue front.
   // Caller holds mutex_.
   std::vector<QueryGroupEntry*> CollectGroupLocked();
 
-  const uint32_t window_us_;
-  const uint32_t max_group_queries_;
   GroupExecutor executor_;
 
   std::mutex mutex_;
-  // Signalled when a group finishes: waiters check their entry / take
-  // leadership.
+  // Signalled when a group finishes (waiters check their entry / take
+  // leadership) and when arrivals fill a lingering leader's group.
   std::condition_variable cv_;
-  // Dedicated channel for the one leader parked in its admission window
-  // (arrivals target it alone — waking every done-waiter on the shared
-  // cv_ per arrival would burn O(waiters) mutex round-trips).
-  std::condition_variable cv_window_;
   std::deque<QueryGroupEntry*> queue_;
   size_t queued_queries_ = 0;
   bool leader_active_ = false;
-  // Leader parked in its admission window; arrivals notify only then.
-  bool leader_in_window_ = false;
+  bool leader_lingering_ = false;
 
   SchedulerStats stats_;
 };

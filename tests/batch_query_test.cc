@@ -3,8 +3,10 @@
 // per-query counter accounting, and scan sharing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <random>
+#include <string>
 
 #include "core/db.h"
 #include "datagen/dataset.h"
@@ -19,9 +21,13 @@ class BatchTest : public ::testing::Test {
   static constexpr size_t kN = 5000;
 
   void SetUp() override {
+    // Parameterized names ("MatchesSequential/3") carry a '/', which would
+    // nest the directory and leave its parent behind at TearDown.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     dir_ = std::filesystem::temp_directory_path() /
-           ("micronn_batch_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+           ("micronn_batch_" + std::to_string(::getpid()) + "_" + name);
     std::filesystem::create_directories(dir_);
     ds_ = GenerateDataset({"b", kDim, Metric::kL2, kN, 128, 32, 0.2f, 66});
     DbOptions options;

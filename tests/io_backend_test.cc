@@ -707,7 +707,6 @@ class ColdCacheParityTest : public TempDir {
     DbOptions o;
     o.dim = kDim;
     o.target_cluster_size = 64;
-    o.mqo_window_us = 0;  // direct execution: deterministic single queries
     o.pager.cache_bytes = 4 << 20;
     return o;
   }

@@ -486,6 +486,65 @@ TEST_F(PagerConcurrencyTest, GroupCommitSharesFsyncsAndStaysDurable) {
   EXPECT_EQ(txn->GetTableInfo("g").value().row_count, expected_rows);
 }
 
+// Spins until `pred` holds; false after a 10 s timeout.
+bool SpinUntil(const std::function<bool()>& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
+
+// One-shot hold on the WAL's fsync: the first Sync after `armed` is set
+// waits (bounded by SpinUntil's timeout) until two more commits are
+// published, so a burst is certain to stage commits behind a leader's
+// fsync in flight instead of leaving that overlap to scheduling.
+struct SyncHold {
+  std::atomic<const IoStats*> stats{nullptr};
+  std::atomic<bool> armed{false};
+};
+
+class HeldSyncFile final : public FileHandle {
+ public:
+  HeldSyncFile(std::unique_ptr<FileHandle> base,
+               std::shared_ptr<SyncHold> hold)
+      : base_(std::move(base)), hold_(std::move(hold)) {}
+
+  Status ReadAt(uint64_t offset, void* buf, size_t n) override {
+    return base_->ReadAt(offset, buf, n);
+  }
+  Status ReadBatch(ReadOp* ops, size_t n) override {
+    return base_->ReadBatch(ops, n);
+  }
+  Status WriteAt(uint64_t offset, const void* buf, size_t n) override {
+    return base_->WriteAt(offset, buf, n);
+  }
+  Status WriteBatch(WriteOp* ops, size_t n) override {
+    return base_->WriteBatch(ops, n);
+  }
+  Status Append(const void* buf, size_t n) override {
+    return base_->Append(buf, n);
+  }
+  Status Sync() override {
+    if (hold_->armed.exchange(false)) {
+      const IoStats* stats = hold_->stats.load();
+      const uint64_t target = stats->commits.load() + 2;
+      SpinUntil([&] { return stats->commits.load() >= target; });
+    }
+    return base_->Sync();
+  }
+  Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+  uint64_t size() const override { return base_->size(); }
+  const std::string& path() const override { return base_->path(); }
+  void set_io_stats(IoStats* stats) override { base_->set_io_stats(stats); }
+
+ private:
+  std::unique_ptr<FileHandle> base_;
+  std::shared_ptr<SyncHold> hold_;
+};
+
 // Pipelined group commit batches the *appends*, not just the fsyncs: the
 // leader writes every follower's staged frames as one contiguous WAL
 // write before the shared sync, so a commit burst must show strictly
@@ -496,7 +555,15 @@ TEST_F(PagerConcurrencyTest, PipelinedGroupCommitBatchesAppends) {
   // Keep wal_writes / wal_syncs attributable to commits alone.
   options.auto_checkpoint_frames = 0;
   options.wal_backpressure_frames = 0;
+  auto hold = std::make_shared<SyncHold>();
+  options.file_wrapper = [hold](std::unique_ptr<FileHandle> base,
+                                std::string_view role)
+      -> std::unique_ptr<FileHandle> {
+    if (role != "wal") return base;
+    return std::make_unique<HeldSyncFile>(std::move(base), hold);
+  };
   auto engine = StorageEngine::Open(path_, options).value();
+  hold->stats.store(&engine->io_stats());
   ASSERT_TRUE(CommitRows(engine.get(), "g", 0, 1).ok());  // create table
 
   constexpr int kThreads = 8;
@@ -504,53 +571,44 @@ TEST_F(PagerConcurrencyTest, PipelinedGroupCommitBatchesAppends) {
   constexpr uint64_t kRowsPerCommit = 4;
   constexpr uint64_t kThreadStride = 1u << 20;
 
-  // Scheduling decides how often committers overlap, so retry the burst
-  // and require that at least one run observes a multi-commit batch.
-  bool batched = false;
-  int rounds = 0;
-  for (; rounds < 5 && !batched; ++rounds) {
-    const IoStats::View before = engine->io_stats().Snapshot();
-    std::atomic<bool> go{false};
-    std::atomic<int> failures{0};
-    std::vector<std::thread> committers;
-    for (int t = 0; t < kThreads; ++t) {
-      committers.emplace_back([&, t] {
-        while (!go.load()) std::this_thread::yield();
-        const uint64_t base =
-            static_cast<uint64_t>(t + 1) * kThreadStride +
-            static_cast<uint64_t>(rounds) * kCommitsPerThread * kRowsPerCommit;
-        for (int c = 0; c < kCommitsPerThread; ++c) {
-          if (!CommitRows(engine.get(), "g", base + c * kRowsPerCommit,
-                          kRowsPerCommit)
-                   .ok()) {
-            ++failures;
-          }
+  const IoStats::View before = engine->io_stats().Snapshot();
+  std::atomic<bool> go{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> committers;
+  for (int t = 0; t < kThreads; ++t) {
+    committers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      const uint64_t base = static_cast<uint64_t>(t + 1) * kThreadStride;
+      for (int c = 0; c < kCommitsPerThread; ++c) {
+        if (!CommitRows(engine.get(), "g", base + c * kRowsPerCommit,
+                        kRowsPerCommit)
+                 .ok()) {
+          ++failures;
         }
-      });
-    }
-    go.store(true);
-    for (auto& th : committers) th.join();
-    ASSERT_EQ(failures.load(), 0);
-
-    const IoStats::View delta = engine->io_stats().Snapshot() - before;
-    ASSERT_EQ(delta.commits,
-              static_cast<uint64_t>(kThreads) * kCommitsPerThread);
-    // Staged commits never write per-commit: at most one WAL write per
-    // flushed group, so never more writes than commits.
-    EXPECT_LE(delta.wal_writes, delta.commits);
-    EXPECT_GE(delta.wal_writes, 1u);
-    batched = delta.wal_writes < delta.commits;
+      }
+    });
   }
-  EXPECT_TRUE(batched)
-      << "no WAL write ever carried more than one commit across " << rounds
-      << " rounds of " << kThreads << "-thread bursts";
+  // The burst's first fsync leader holds until two more commits are
+  // staged behind it; working batching lands them with one WAL write.
+  hold->armed.store(true);
+  go.store(true);
+  for (auto& th : committers) th.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  const IoStats::View delta = engine->io_stats().Snapshot() - before;
+  ASSERT_EQ(delta.commits, static_cast<uint64_t>(kThreads) * kCommitsPerThread);
+  // Staged commits never write per-commit: at most one WAL write per
+  // flushed group, so never more writes than commits.
+  EXPECT_LE(delta.wal_writes, delta.commits);
+  EXPECT_GE(delta.wal_writes, 1u);
+  EXPECT_LT(delta.wal_writes, delta.commits)
+      << "no WAL write carried more than one commit in a " << kThreads
+      << "-thread burst";
 
   // Durability: freeze the files as a power cut would and recover the
   // copy — batching appends must not weaken the acked-commit guarantee.
-  // Every round committed its own rows.
   const uint64_t expected_rows =
-      1 + static_cast<uint64_t>(rounds) * kThreads * kCommitsPerThread *
-              kRowsPerCommit;
+      1 + static_cast<uint64_t>(kThreads) * kCommitsPerThread * kRowsPerCommit;
   const std::string crash = (dir_ / "crash_db").string();
   std::filesystem::copy_file(path_, crash);
   std::filesystem::copy_file(path_ + "-wal", crash + "-wal");
@@ -700,17 +758,6 @@ class GatedFile final : public FileHandle {
   std::unique_ptr<FileHandle> base_;
   std::shared_ptr<PageGate> gate_;
 };
-
-// Spins until `pred` holds; false after a 10 s timeout.
-bool SpinUntil(const std::function<bool()>& pred) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  return true;
-}
 
 class DemandDedupTest : public PagerConcurrencyTest {
  protected:

@@ -1,7 +1,7 @@
 // Cross-request MQO admission scheduler: concurrent/sequential parity
-// under randomized mixed workloads, pass-through when disabled, fast-path
-// behavior for lone clients, coalescing observability, and per-submission
-// error isolation inside a coalesced group.
+// under randomized mixed workloads, fast-path behavior for lone clients,
+// the group-size cap under concurrent batches, coalescing observability,
+// and per-submission error isolation inside a coalesced group.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -39,7 +39,7 @@ class SchedulerTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  DbOptions Options(uint32_t mqo_window_us) {
+  DbOptions Options() {
     DbOptions options;
     options.dim = kDim;
     options.target_cluster_size = 50;
@@ -48,15 +48,14 @@ class SchedulerTest : public ::testing::Test {
     options.default_nprobe = 4;
     options.rebuild_chunk_rows = 512;
     options.search_threads = 2;
-    options.mqo_window_us = mqo_window_us;
     return options;
   }
 
   // Creates + populates the database file once (bucket attribute i % 5),
   // builds the index and the optimizer statistics, then closes it so each
-  // test can reopen with the scheduler configuration it wants.
+  // test starts from a freshly opened database.
   void BuildDatabase() {
-    auto db = DB::Open(path_, Options(0)).value();
+    auto db = DB::Open(path_, Options()).value();
     std::vector<UpsertRequest> batch;
     for (size_t i = 0; i < kRows; ++i) {
       UpsertRequest req;
@@ -133,7 +132,7 @@ class SchedulerTest : public ::testing::Test {
 
 // The acceptance stress test: N threads issue randomized mixed searches
 // concurrently through the scheduler; every response must be bit-identical
-// to the same request run sequentially with the scheduler disabled.
+// to the same request run alone, sequentially from one thread.
 TEST_F(SchedulerTest, ConcurrentMatchesSequentialStress) {
   BuildDatabase();
 
@@ -147,20 +146,17 @@ TEST_F(SchedulerTest, ConcurrentMatchesSequentialStress) {
     }
   }
 
-  // Baseline: scheduler disabled, strictly sequential.
+  auto db = DB::Open(path_, Options()).value();
+  // Baseline: strictly sequential, so every request is a group of one.
   std::vector<std::vector<SearchResponse>> baseline(kThreads);
-  {
-    auto db = DB::Open(path_, Options(0)).value();
-    for (size_t t = 0; t < kThreads; ++t) {
-      for (const SearchRequest& req : requests[t]) {
-        baseline[t].push_back(db->Search(req).value());
-      }
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (const SearchRequest& req : requests[t]) {
+      baseline[t].push_back(db->Search(req).value());
+      EXPECT_EQ(baseline[t].back().explain.coalesced_group_size, 1u);
     }
-    ASSERT_TRUE(db->Close().ok());
   }
 
-  // Concurrent run with coalescing on.
-  auto db = DB::Open(path_, Options(300)).value();
+  // Concurrent run: the same requests, now coalescing.
   std::vector<std::vector<SearchResponse>> got(kThreads);
   std::atomic<bool> start{false};
   std::vector<std::thread> threads;
@@ -187,42 +183,11 @@ TEST_F(SchedulerTest, ConcurrentMatchesSequentialStress) {
   ASSERT_TRUE(db->Close().ok());
 }
 
-// mqo_window_us = 0 must bypass the staging queue entirely.
-TEST_F(SchedulerTest, WindowZeroBypassesQueue) {
-  BuildDatabase();
-  auto db = DB::Open(path_, Options(0)).value();
-
-  constexpr size_t kThreads = 4;
-  constexpr size_t kPerThread = 25;
-  std::atomic<bool> start{false};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      std::mt19937 rng(7 + t);
-      while (!start.load()) std::this_thread::yield();
-      for (size_t i = 0; i < kPerThread; ++i) {
-        auto resp = db->Search(RandomRequest(&rng)).value();
-        EXPECT_EQ(resp.explain.coalesced_group_size, 1u);
-        EXPECT_EQ(resp.explain.coalesce_wait_us, 0u);
-      }
-    });
-  }
-  start.store(true);
-  for (auto& th : threads) th.join();
-
-  const SchedulerStats& stats = db->scheduler_stats();
-  EXPECT_EQ(stats.passthrough.load(), kThreads * kPerThread);
-  EXPECT_EQ(stats.submissions.load(), 0u);
-  EXPECT_EQ(stats.groups.load(), 0u);
-  EXPECT_EQ(stats.coalesced_groups.load(), 0u);
-  ASSERT_TRUE(db->Close().ok());
-}
-
-// A lone client with the scheduler enabled takes the fast path: every
-// submission leads immediately, nothing coalesces, no window is paid.
+// A lone client takes the fast path: every submission leads immediately
+// and nothing coalesces.
 TEST_F(SchedulerTest, SingleClientFastPath) {
   BuildDatabase();
-  auto db = DB::Open(path_, Options(200)).value();
+  auto db = DB::Open(path_, Options()).value();
   std::mt19937 rng(13);
   for (size_t i = 0; i < 30; ++i) {
     auto resp = db->Search(RandomRequest(&rng)).value();
@@ -232,7 +197,6 @@ TEST_F(SchedulerTest, SingleClientFastPath) {
   EXPECT_EQ(stats.submissions.load(), 30u);
   EXPECT_EQ(stats.groups.load(), 30u);
   EXPECT_EQ(stats.coalesced_groups.load(), 0u);
-  EXPECT_EQ(stats.passthrough.load(), 0u);
   ASSERT_TRUE(db->Close().ok());
 }
 
@@ -240,10 +204,10 @@ TEST_F(SchedulerTest, SingleClientFastPath) {
 // single-threaded batch reports the executed group it formed by itself.
 TEST_F(SchedulerTest, BatchSubmissionIsNotSplit) {
   BuildDatabase();
-  DbOptions options = Options(200);
-  options.mqo_max_group = 16;  // far below the batch size
-  auto db = DB::Open(path_, options).value();
+  auto db = DB::Open(path_, Options()).value();
+  // Above the group-size cap.
   std::vector<SearchRequest> batch(100);
+  ASSERT_GT(batch.size(), QueryScheduler::kMaxGroupQueries);
   for (size_t q = 0; q < batch.size(); ++q) {
     const size_t qi = q % ds_.spec.n_queries;
     batch[q].query.assign(ds_.query(qi), ds_.query(qi) + kDim);
@@ -258,11 +222,86 @@ TEST_F(SchedulerTest, BatchSubmissionIsNotSplit) {
   ASSERT_TRUE(db->Close().ok());
 }
 
+// Concurrent BatchSearch submissions coalesce only up to the group-size
+// cap: a group of several submissions never exceeds kMaxGroupQueries
+// queries, and a submission above the cap runs as a group of its own.
+// Every answer still matches the same batch run alone.
+TEST_F(SchedulerTest, ConcurrentBatchesRespectGroupCap) {
+  BuildDatabase();
+  constexpr size_t kThreads = 4;
+  constexpr size_t kBatches = 10;
+  constexpr size_t kBatchSize = 24;  // two fit under the cap, three do not
+  // One thread submits batches above the cap.
+  constexpr size_t kLargeBatchSize = QueryScheduler::kMaxGroupQueries + 6;
+  std::vector<std::vector<std::vector<SearchRequest>>> batches(kThreads);
+  std::mt19937 rng(31);
+  for (size_t t = 0; t < kThreads; ++t) {
+    const size_t size = t == 0 ? kLargeBatchSize : kBatchSize;
+    for (size_t b = 0; b < kBatches; ++b) {
+      batches[t].emplace_back();
+      for (size_t q = 0; q < size; ++q) {
+        batches[t].back().push_back(RandomRequest(&rng));
+      }
+    }
+  }
+
+  auto db = DB::Open(path_, Options()).value();
+  std::vector<std::vector<std::vector<SearchResponse>>> baseline(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (const auto& batch : batches[t]) {
+      baseline[t].push_back(db->BatchSearch(batch).value());
+    }
+  }
+
+  // Scheduling decides whether submissions overlap at all, so repeat the
+  // concurrent pass until some group coalesced (the cap is otherwise
+  // untested).
+  const uint64_t coalesced_before = db->scheduler_stats().coalesced_groups;
+  for (int round = 0;
+       round < 20 && db->scheduler_stats().coalesced_groups == coalesced_before;
+       ++round) {
+    std::vector<std::vector<std::vector<SearchResponse>>> got(kThreads);
+    std::atomic<bool> start{false};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!start.load()) std::this_thread::yield();
+        for (const auto& batch : batches[t]) {
+          got[t].push_back(db->BatchSearch(batch).value());
+        }
+      });
+    }
+    start.store(true);
+    for (auto& th : threads) th.join();
+
+    for (size_t t = 0; t < kThreads; ++t) {
+      for (size_t b = 0; b < kBatches; ++b) {
+        const size_t own = batches[t][b].size();
+        ASSERT_EQ(got[t][b].size(), own);
+        for (size_t q = 0; q < own; ++q) {
+          const QueryExplain& ex = got[t][b][q].explain;
+          if (own > QueryScheduler::kMaxGroupQueries) {
+            EXPECT_EQ(ex.group_size, own);
+            EXPECT_EQ(ex.coalesced_group_size, 1u);
+          } else {
+            EXPECT_LE(ex.group_size, QueryScheduler::kMaxGroupQueries);
+            EXPECT_GE(ex.group_size, own);
+          }
+          ExpectSameResponse(got[t][b][q], baseline[t][b][q],
+                             (t * 100 + b) * 1000 + q);
+        }
+      }
+    }
+  }
+  EXPECT_GT(db->scheduler_stats().coalesced_groups.load(), coalesced_before);
+  ASSERT_TRUE(db->Close().ok());
+}
+
 // An invalid request inside a coalesced group fails only its own
 // submission; concurrent peers are unaffected.
 TEST_F(SchedulerTest, InvalidRequestFailsOnlyItsSubmission) {
   BuildDatabase();
-  auto db = DB::Open(path_, Options(500)).value();
+  auto db = DB::Open(path_, Options()).value();
 
   std::atomic<bool> start{false};
   std::atomic<uint64_t> ok_count{0};
