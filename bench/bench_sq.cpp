@@ -10,8 +10,10 @@
 // copy still fits — the disk-resident regime MicroNN targets.
 //
 // Machine-readable output: BENCH_sq.json with one row per
-// (dataset, nprobe): float/sq8 QPS and recall@10 (consumed by CI and
-// tracked as an artifact alongside BENCH_batch.json).
+// (dataset, nprobe): float/sq8 QPS and recall@10, and the SQ8 path's mean
+// rerank candidates and re-read rows per query (the error bound re-reads
+// only the candidates that can still reach the top-k) — consumed by CI
+// and tracked as an artifact alongside BENCH_batch.json.
 // MICRONN_BENCH_DATASETS (comma-separated substring match) restricts the
 // dataset list; MICRONN_BENCH_SCALE scales row counts (default 0.025
 // here: ~50k vectors at dim 128, ~25 MiB of floats against the default
@@ -32,6 +34,14 @@ struct JsonRow {
   double sq8_qps;
   double recall_float;
   double recall_sq8;
+  double rerank_candidates_per_query;
+  double rows_reranked_per_query;
+};
+
+// Per-query means of the SQ8 rerank's EXPLAIN counters.
+struct RerankCounts {
+  double candidates = 0;
+  double reranked = 0;
 };
 
 bool DatasetEnabled(const std::string& name) {
@@ -74,7 +84,7 @@ double MeasureQps(DB* db, const Dataset& ds, uint32_t k, uint32_t nprobe,
 double MeasurePathRecall(DB* db, const Dataset& ds,
                          const std::vector<std::vector<Neighbor>>& truth,
                          uint32_t k, uint32_t nprobe, bool quantized,
-                         size_t n_queries) {
+                         size_t n_queries, RerankCounts* rerank = nullptr) {
   double total = 0;
   for (size_t q = 0; q < n_queries; ++q) {
     SearchRequest req;
@@ -89,6 +99,14 @@ double MeasurePathRecall(DB* db, const Dataset& ds,
       got.push_back({item.vid, item.distance});
     }
     total += RecallAtK(got, truth[q]);
+    if (rerank != nullptr) {
+      rerank->candidates += static_cast<double>(resp.explain.rerank_candidates);
+      rerank->reranked += static_cast<double>(resp.explain.rows_reranked);
+    }
+  }
+  if (rerank != nullptr) {
+    rerank->candidates /= static_cast<double>(n_queries);
+    rerank->reranked /= static_cast<double>(n_queries);
   }
   return total / static_cast<double>(n_queries);
 }
@@ -139,23 +157,27 @@ int main() {
     std::printf("%s (n=%zu dim=%u %s)\n", spec.name.c_str(), spec.n,
                 spec.dim,
                 spec.metric == Metric::kCosine ? "cosine" : "l2");
-    std::printf("  %7s %12s %12s %9s %13s %11s\n", "nprobe", "float-qps",
-                "sq8-qps", "speedup", "recall@10(f)", "recall@10(q)");
+    std::printf("  %7s %12s %12s %9s %13s %11s %14s\n", "nprobe",
+                "float-qps", "sq8-qps", "speedup", "recall@10(f)",
+                "recall@10(q)", "reranked/cand");
     for (const uint32_t nprobe : nprobes) {
       const double recall_f = MeasurePathRecall(db.get(), ds, truth, k,
                                                 nprobe, false,
                                                 recall_queries);
+      RerankCounts rerank;
       const double recall_q = MeasurePathRecall(db.get(), ds, truth, k,
                                                 nprobe, true,
-                                                recall_queries);
+                                                recall_queries, &rerank);
       const double qps_f =
           MeasureQps(db.get(), ds, k, nprobe, false, qps_queries);
       const double qps_q =
           MeasureQps(db.get(), ds, k, nprobe, true, qps_queries);
-      std::printf("  %7u %12.1f %12.1f %8.2fx %13.4f %11.4f\n", nprobe,
-                  qps_f, qps_q, qps_q / qps_f, recall_f, recall_q);
-      json_rows.push_back(
-          JsonRow{spec.name, nprobe, qps_f, qps_q, recall_f, recall_q});
+      std::printf("  %7u %12.1f %12.1f %8.2fx %13.4f %11.4f %7.1f/%.1f\n",
+                  nprobe, qps_f, qps_q, qps_q / qps_f, recall_f, recall_q,
+                  rerank.reranked, rerank.candidates);
+      json_rows.push_back(JsonRow{spec.name, nprobe, qps_f, qps_q, recall_f,
+                                  recall_q, rerank.candidates,
+                                  rerank.reranked});
     }
     std::printf("\n");
     db->Close().ok();
@@ -171,9 +193,12 @@ int main() {
           f,
           "    {\"dataset\": \"%s\", \"nprobe\": %u, \"float_qps\": %.2f, "
           "\"sq8_qps\": %.2f, \"speedup\": %.3f, \"recall_float\": %.4f, "
-          "\"recall_sq8\": %.4f}%s\n",
+          "\"recall_sq8\": %.4f, \"k\": %u, "
+          "\"rerank_candidates_per_query\": %.2f, "
+          "\"rows_reranked_per_query\": %.2f}%s\n",
           r.dataset.c_str(), r.nprobe, r.float_qps, r.sq8_qps,
-          r.sq8_qps / r.float_qps, r.recall_float, r.recall_sq8,
+          r.sq8_qps / r.float_qps, r.recall_float, r.recall_sq8, k,
+          r.rerank_candidates_per_query, r.rows_reranked_per_query,
           i + 1 < json_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

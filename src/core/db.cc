@@ -186,6 +186,10 @@ Status DB::Upsert(const std::vector<UpsertRequest>& batch) {
   MICRONN_ASSIGN_OR_RETURN(
       std::optional<Sq8PartitionParams> delta_params,
       GetSq8Params(&sq8params, kDeltaPartition, options_.dim));
+  // The params' max_error must cover every code row written below; the
+  // row is rewritten once, at the end, only if a new row raised it.
+  const float stored_delta_error =
+      delta_params.has_value() ? delta_params->max_error : 0.f;
   std::vector<uint8_t> sq8_codes(options_.dim);
   const TableResolver resolver = MakeWriteResolver(txn.get());
   std::map<uint32_t, int64_t> partition_deltas;
@@ -263,6 +267,11 @@ Status DB::Upsert(const std::vector<UpsertRequest>& batch) {
       QuantizeSq8(vec.data(), delta_params->min.data(),
                   delta_params->scale.data(), options_.dim,
                   sq8_codes.data());
+      delta_params->max_error = std::max(
+          delta_params->max_error,
+          Sq8ReconstructionError(vec.data(), sq8_codes.data(),
+                                 delta_params->min.data(),
+                                 delta_params->scale.data(), options_.dim));
       MICRONN_RETURN_IF_ERROR(
           sq8.Put(VectorKey(kDeltaPartition, vid),
                   EncodeSq8Row(sq8_codes.data(), options_.dim)));
@@ -278,6 +287,11 @@ Status DB::Upsert(const std::vector<UpsertRequest>& batch) {
       MICRONN_RETURN_IF_ERROR(IndexAttributes(resolver, vid, req.attributes,
                                               options_.fts_columns));
     }
+  }
+  if (delta_params.has_value() &&
+      delta_params->max_error > stored_delta_error) {
+    MICRONN_RETURN_IF_ERROR(sq8params.Put(key::U32(kDeltaPartition),
+                                          EncodeSq8Params(*delta_params)));
   }
   MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaNextVid, next_vid));
   MICRONN_RETURN_IF_ERROR(MetaPutU64(&meta, kMetaDeltaCount, delta_count));

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
 
 #include "common/logging.h"
 #include "common/memory_tracker.h"
@@ -379,6 +380,8 @@ Status DB::BuildIndexLocked() {
       io.rows_inserted.fetch_add(rows_this_txn, std::memory_order_relaxed);
       MICRONN_RETURN_IF_ERROR(engine_->Commit(std::move(txn)));
     }
+    // Its max_error starts at 0: the new generation's delta store is
+    // empty, and upserts raise it as they quantize into it.
     if (global.any) {
       MICRONN_ASSIGN_OR_RETURN(std::unique_ptr<WriteTransaction> txn,
                                engine_->BeginWrite());
@@ -495,7 +498,8 @@ Result<MaintenanceReport> DB::MaintainLocked() {
   RowChunk chunk;
   std::vector<uint32_t> assign_rows;
   // Destination-partition quantization parameters, loaded on first use.
-  // Params only change during a full rebuild, so the cache stays valid
+  // Min and scale only change during a full rebuild, and max_error only
+  // through this flush (writes are serialized), so the cache stays valid
   // across the flush's chunked transactions. A partition without params
   // (pre-SQ8 build) keeps serving full-precision scans, so its moved rows
   // get no sidecar codes.
@@ -532,6 +536,9 @@ Result<MaintenanceReport> DB::MaintainLocked() {
     MICRONN_ASSIGN_OR_RETURN(BTree meta, txn->OpenTable(kMetaTable));
     MICRONN_ASSIGN_OR_RETURN(BTree sq8, txn->OpenTable(kSq8Table));
     MICRONN_ASSIGN_OR_RETURN(BTree sq8params, txn->OpenTable(kSq8ParamsTable));
+    // Partitions whose max_error a moved row raised: their params rows are
+    // rewritten once, in this chunk's transaction.
+    std::set<uint32_t> raised;
     for (size_t i = 0; i < chunk.size(); ++i) {
       const uint32_t row = assign_rows[i];
       const uint32_t partition = cset.partitions[row];
@@ -558,9 +565,18 @@ Result<MaintenanceReport> DB::MaintainLocked() {
         sp = sq8_params_cache.emplace(partition, std::move(params)).first;
       }
       if (sp->second.has_value()) {
-        const size_t saturated = QuantizeSq8Saturating(
-            chunk.block.data() + i * dim, sp->second->min.data(),
-            sp->second->scale.data(), dim, sq8_codes.data());
+        Sq8PartitionParams& params = *sp->second;
+        const float* v = chunk.block.data() + i * dim;
+        const size_t saturated =
+            QuantizeSq8Saturating(v, params.min.data(), params.scale.data(),
+                                  dim, sq8_codes.data());
+        const float error =
+            Sq8ReconstructionError(v, sq8_codes.data(), params.min.data(),
+                                   params.scale.data(), dim);
+        if (error > params.max_error) {
+          params.max_error = error;
+          raised.insert(partition);
+        }
         SaturationCount& sat = saturation[partition];
         sat.saturated += saturated;
         sat.total += dim;
@@ -573,6 +589,11 @@ Result<MaintenanceReport> DB::MaintainLocked() {
       const float* v = chunk.block.data() + i * dim;
       for (uint32_t d = 0; d < dim; ++d) sum[d] += v[d];
       ++cnt;
+    }
+    for (const uint32_t partition : raised) {
+      MICRONN_RETURN_IF_ERROR(
+          sq8params.Put(key::U32(partition),
+                        EncodeSq8Params(*sq8_params_cache.at(partition))));
     }
     MICRONN_ASSIGN_OR_RETURN(uint64_t delta_count,
                              MetaGetU64(&meta, kMetaDeltaCount, 0));

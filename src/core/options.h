@@ -53,15 +53,17 @@ struct DbOptions {
 
   // --- Quantized scans (SQ8) ---
   // ANN partition scans read the int8 scalar-quantized copy of each row
-  // (~4x fewer scanned bytes) and re-score the top k*alpha candidates at
-  // full precision. Per-partition parameters are maintained by index
-  // builds and delta flushes; partitions without parameters (e.g. before
+  // (~4x fewer scanned bytes) and re-score at full precision those of the
+  // top k*alpha candidates whose error-bounded distance can still reach
+  // the top-k. Per-partition parameters are maintained by index builds,
+  // upserts and delta flushes; partitions without parameters (e.g. before
   // the first build) transparently scan full precision. Exact and
   // pre-filter plans never use the quantized path. Opt out per request
   // via SearchRequest::quantized.
-  /// Rerank over-fetch factor alpha: quantized scans collect
-  /// ceil(k * alpha) candidates before the full-precision rerank. Larger
-  /// alpha buys recall at the cost of more rerank point-reads.
+  /// Rerank pool ceiling alpha: quantized scans collect ceil(k * alpha)
+  /// candidates, and the rerank re-reads only those the per-partition
+  /// error bound cannot rule out. Larger alpha buys recall headroom; the
+  /// re-reads it costs grow only with the candidates that stay in reach.
   float sq8_rerank_alpha = 4.0f;
   /// SQ8 drift requantization: delta flushes quantize moved rows with
   /// their destination partition's existing (possibly stale) bounds;

@@ -81,6 +81,7 @@ Sq8PartitionParams FinalizeSq8Params(const Sq8BoundsAccumulator& bounds) {
     const float range = bounds.max[d] - bounds.min[d];
     params.scale[d] = range > 0.f ? range / 255.0f : 0.f;
   }
+  params.max_error = 0.f;  // no row quantized yet
   return params;
 }
 
@@ -101,18 +102,24 @@ Result<uint64_t> RequantizePartition(BTree vectors, BTree sq8,
       },
       nullptr));
   if (!bounds.any) return 0;  // empty partition: no params, no codes
-  const Sq8PartitionParams params = FinalizeSq8Params(bounds);
+  Sq8PartitionParams params = FinalizeSq8Params(bounds);
   if (global_bounds != nullptr) global_bounds->Union(bounds);
 
-  // Pass B: quantize every row and write its sq8 sidecar row.
+  // Pass B: quantize every row, write its sq8 sidecar row and fold its
+  // reconstruction error into the params' max_error.
   uint64_t rows = 0;
   std::vector<uint8_t> codes(dim);
   MICRONN_RETURN_IF_ERROR(ScanPartition(
       vectors, partition, dim, /*filter=*/{},
       [&](const ScanBlock& block) -> Status {
         for (size_t r = 0; r < block.count; ++r) {
-          QuantizeSq8(block.data + r * dim, params.min.data(),
-                      params.scale.data(), dim, codes.data());
+          const float* v = block.data + r * dim;
+          QuantizeSq8(v, params.min.data(), params.scale.data(), dim,
+                      codes.data());
+          params.max_error = std::max(
+              params.max_error,
+              Sq8ReconstructionError(v, codes.data(), params.min.data(),
+                                     params.scale.data(), dim));
           MICRONN_RETURN_IF_ERROR(
               sq8.Put(VectorKey(partition, block.vids[r]),
                       EncodeSq8Row(codes.data(), dim)));

@@ -67,16 +67,18 @@ struct Sq8BoundsAccumulator {
 };
 
 /// Finalizes bounds into quantization parameters: scale = (max - min)/255
-/// per dimension (0 for constant dimensions, which encode exactly).
+/// per dimension (0 for constant dimensions, which encode exactly), and
+/// max_error 0 (no row quantized yet).
 Sq8PartitionParams FinalizeSq8Params(const Sq8BoundsAccumulator& bounds);
 
 /// Recomputes partition `partition`'s SQ8 parameters from its current rows
 /// in `vectors` and rewrites its rows in `sq8` (two passes over the
 /// partition's contiguous key range, O(dim) working memory), then writes
-/// the params row to `params_table`. An empty partition writes nothing.
-/// `global_bounds` (optional) receives the union of the partition's
-/// bounds. Returns the number of rows quantized. Must run inside a write
-/// transaction owning all three trees.
+/// the params row, with the largest reconstruction error of the rewritten
+/// rows as its max_error, to `params_table`. An empty partition writes
+/// nothing. `global_bounds` (optional) receives the union of the
+/// partition's bounds. Returns the number of rows quantized. Must run
+/// inside a write transaction owning all three trees.
 Result<uint64_t> RequantizePartition(BTree vectors, BTree sq8,
                                      BTree params_table, uint32_t partition,
                                      uint32_t dim,

@@ -85,17 +85,19 @@ Status DecodeVidMapValue(std::string_view value, uint32_t* partition) {
 std::string EncodeSq8Params(const Sq8PartitionParams& params) {
   std::string v;
   const size_t dim = params.min.size();
-  v.reserve(2 * dim * sizeof(float));
+  v.reserve((2 * dim + 1) * sizeof(float));
   v.append(reinterpret_cast<const char*>(params.min.data()),
            dim * sizeof(float));
   v.append(reinterpret_cast<const char*>(params.scale.data()),
            dim * sizeof(float));
+  v.append(reinterpret_cast<const char*>(&params.max_error), sizeof(float));
   return v;
 }
 
 Status DecodeSq8Params(std::string_view value, size_t dim,
                        Sq8PartitionParams* out) {
-  if (value.size() != 2 * dim * sizeof(float)) {
+  const size_t arrays = 2 * dim * sizeof(float);
+  if (value.size() != arrays && value.size() != arrays + sizeof(float)) {
     return Status::Corruption("sq8 params size mismatch");
   }
   out->min.resize(dim);
@@ -103,6 +105,13 @@ Status DecodeSq8Params(std::string_view value, size_t dim,
   std::memcpy(out->min.data(), value.data(), dim * sizeof(float));
   std::memcpy(out->scale.data(), value.data() + dim * sizeof(float),
               dim * sizeof(float));
+  out->max_error = std::numeric_limits<float>::infinity();  // legacy row
+  if (value.size() > arrays) {
+    std::memcpy(&out->max_error, value.data() + arrays, sizeof(float));
+    if (!(out->max_error >= 0.f)) {
+      return Status::Corruption("sq8 params max error is negative or NaN");
+    }
+  }
   return Status::OK();
 }
 

@@ -20,6 +20,7 @@
 #define MICRONN_IVF_SCHEMA_H_
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -125,14 +126,23 @@ std::string EncodeVidMapValue(uint32_t partition);
 Status DecodeVidMapValue(std::string_view value, uint32_t* partition);
 
 /// sq8params row payload: per-dimension affine quantization parameters of
-/// one partition (code c reconstructs as min[d] + scale[d] * c). The
+/// one partition (code c reconstructs as min[d] + scale[d] * c), then the
+/// largest reconstruction error of the rows quantized with them. The
 /// delta-store entry (partition 0) holds collection-global parameters so
 /// freshly upserted rows can be quantized before any maintenance runs.
 struct Sq8PartitionParams {
   std::vector<float> min;    // dim entries
   std::vector<float> scale;  // dim entries, >= 0
+  /// An upper bound on ||x - x_hat||_2 over every row of the partition's
+  /// `vectors#sq8` codes (x_hat its reconstruction). Every write of a code
+  /// row raises it in the same transaction; deletes never lower it. +inf
+  /// (a legacy row without the field) disables rerank pruning.
+  float max_error = std::numeric_limits<float>::infinity();
 };
 
+/// Row layout: min[dim], scale[dim], max_error (2*dim + 1 floats). A
+/// legacy row of exactly 2*dim floats decodes with max_error = +inf; any
+/// other size, or a NaN or negative max_error, is Corruption.
 std::string EncodeSq8Params(const Sq8PartitionParams& params);
 Status DecodeSq8Params(std::string_view value, size_t dim,
                        Sq8PartitionParams* out);

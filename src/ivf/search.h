@@ -85,8 +85,9 @@ Status ScanPartitionIntoHeaps(BTree vectors, uint32_t partition, Metric metric,
 /// precompute done once per scan from the partition's `min`/`scale`
 /// arrays, dim entries each). Distances pushed into the heaps approximate
 /// the full-precision distances — callers size the heaps to k*alpha and
-/// re-score the survivors exactly (the executor's rerank op). Filter
-/// semantics, counters, and shared evaluation match the float kernel.
+/// re-score exactly the candidates that can still reach the top-k (the
+/// executor's rerank op). Filter semantics, counters, and shared
+/// evaluation match the float kernel.
 Status ScanPartitionSq8IntoHeaps(BTree sq8, uint32_t partition, Metric metric,
                                  uint32_t dim, const float* min,
                                  const float* scale, HeapScanTarget* targets,

@@ -1,6 +1,8 @@
 #include "numerics/sq8.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "numerics/distance.h"
 
@@ -70,6 +72,90 @@ void DequantizeSq8(const uint8_t* codes, const float* min, const float* scale,
   for (size_t i = 0; i < d; ++i) {
     out[i] = min[i] + scale[i] * static_cast<float>(codes[i]);
   }
+}
+
+float Sq8ReconstructionError(const float* v, const uint8_t* codes,
+                             const float* min, const float* scale, size_t d) {
+  double sum = 0;
+  for (size_t i = 0; i < d; ++i) {
+    // A float times a byte is exact in double; the sum rounds at 2^-53.
+    const double recon = double{min[i]} + double{scale[i]} * codes[i];
+    const double diff = double{v[i]} - recon;
+    sum += diff * diff;
+  }
+  const double err = std::sqrt(sum);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  if (!(err <= std::numeric_limits<float>::max())) return kInf;
+  if (err == 0) return 0.f;
+  // One float ulp up covers both the float conversion and the double
+  // rounding above.
+  return std::nextafter(static_cast<float>(err), kInf);
+}
+
+float Sq8Reach(const float* min, const float* scale, size_t d) {
+  double min_sq = 0;
+  double scale_sq = 0;
+  for (size_t i = 0; i < d; ++i) {
+    min_sq += double{min[i]} * min[i];
+    scale_sq += double{scale[i]} * scale[i];
+  }
+  return static_cast<float>(std::sqrt(min_sq) + 255.0 * std::sqrt(scale_sq));
+}
+
+size_t SelectSq8RerankCandidates(Metric metric, const float* query,
+                                 size_t dim,
+                                 std::span<const Sq8RerankCandidate> cands,
+                                 size_t k, std::vector<bool>* keep) {
+  const size_t n = cands.size();
+  keep->assign(n, true);
+  if (k == 0 || n <= k) return n;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double rho = static_cast<double>(dim + 8) * 0x1p-23;
+  double qnorm = 0;
+  if (metric != Metric::kL2) {
+    for (size_t i = 0; i < dim; ++i) qnorm += double{query[i]} * query[i];
+    qnorm = std::sqrt(qnorm);
+  }
+  std::vector<double> lo(n);
+  std::vector<double> hi(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double approx = cands[i].approx;
+    const double eps = cands[i].max_error;
+    const double reach = cands[i].reach;
+    if (!std::isfinite(approx) || !std::isfinite(eps)) {
+      lo[i] = -kInf;
+      hi[i] = kInf;
+      continue;
+    }
+    if (metric == Metric::kL2) {
+      // |sqrt(d) - sqrt(d_hat)| <= ||x - x_hat|| by the triangle inequality.
+      const double r = std::sqrt(std::max(approx, 0.0));
+      const double e = eps + rho * (r + reach);
+      const double below = std::max(0.0, r - e);
+      lo[i] = below * below * (1 - rho);
+      hi[i] = (r + e) * (r + e) * (1 + rho);
+    } else {
+      // |q.x - q.x_hat| <= ||q|| * ||x - x_hat|| by Cauchy-Schwarz.
+      const double e = qnorm * eps +
+                       rho * (std::abs(approx) + qnorm * (2 * reach + eps) + 1);
+      lo[i] = approx - e;
+      hi[i] = approx + e;
+    }
+    if (std::isnan(lo[i]) || std::isnan(hi[i])) {  // e.g. 0 * inf
+      lo[i] = -kInf;
+      hi[i] = kInf;
+    }
+  }
+  std::vector<double> his = hi;
+  std::nth_element(his.begin(), his.begin() + (k - 1), his.end());
+  const double tau = his[k - 1];
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const bool k_i = !(lo[i] > tau);
+    (*keep)[i] = k_i;
+    kept += k_i;
+  }
+  return kept;
 }
 
 void Sq8QueryContext::Prepare(Metric m, const float* query, const float* min,

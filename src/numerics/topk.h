@@ -40,19 +40,22 @@ class TopKHeap {
   /// Worst (largest) distance currently kept; only meaningful when full().
   float WorstDistance() const { return heap_.front().distance; }
 
-  /// Returns true if a candidate at `distance` would be accepted.
+  /// Returns true if a candidate at `distance` would be accepted whatever
+  /// its id (a tie with the worst kept distance depends on the id).
   bool WouldAccept(float distance) const {
     return heap_.size() < k_ || distance < heap_.front().distance;
   }
 
-  /// Offers a candidate; keeps it only if it is among the k best so far.
-  /// `partition` is carried along untouched (0 for heaps whose ids are not
-  /// vector rows, e.g. centroid probes).
+  /// Offers a candidate; keeps it only if it is among the k best so far
+  /// in (distance, id) order, so the kept set does not depend on the order
+  /// of the pushes, even with tied distances. `partition` is carried along
+  /// untouched (0 for heaps whose ids are not vector rows, e.g. centroid
+  /// probes).
   void Push(uint64_t id, float distance, uint32_t partition = 0) {
     if (heap_.size() < k_) {
       heap_.push_back({id, distance, partition});
       std::push_heap(heap_.begin(), heap_.end(), ByDistance);
-    } else if (distance < heap_.front().distance) {
+    } else if (ByDistance({id, distance, partition}, heap_.front())) {
       std::pop_heap(heap_.begin(), heap_.end(), ByDistance);
       heap_.back() = {id, distance, partition};
       std::push_heap(heap_.begin(), heap_.end(), ByDistance);

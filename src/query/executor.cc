@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "ivf/schema.h"
+#include "numerics/sq8.h"
 #include "query/predicate.h"
 #include "query/value.h"
 #include "storage/key_encoding.h"
@@ -160,6 +161,17 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
       work_params[i] =
           std::make_unique<Sq8PartitionParams>(std::move(**params));
     }
+  }
+  // The rerank bound's error terms of every partition with params, keyed
+  // by partition (a quantized plan's candidates from it were scored SQ8).
+  std::unordered_map<uint32_t, Sq8RerankCandidate> sq8_error_terms;
+  for (size_t i = 0; i < work.size(); ++i) {
+    const Sq8PartitionParams* params = work_params[i].get();
+    if (params == nullptr) continue;
+    sq8_error_terms[work[i].partition] = Sq8RerankCandidate{
+        .max_error = params->max_error,
+        .reach = Sq8Reach(params->min.data(), params->scale.data(),
+                          ctx_.dim)};
   }
 
   // Phase 2: partition-scan op. Each partition is scanned exactly once
@@ -469,13 +481,16 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
     }
   }
 
-  // Phase 3.5: rerank op — a quantized plan's candidate pool (k*alpha
-  // rows ranked by approximate distance) is re-scored at full precision;
-  // reported distances are always exact. Each candidate carries the
-  // partition its scan read it from, so the sorted locations go straight
-  // to SearchByLocations — one cursor pass over the vectors table, no
-  // vidmap reads. A quantized plan none of whose partitions had SQ8 data
-  // already holds exact distances: truncate instead of re-reading.
+  // Phase 3.5: rerank op — a quantized plan's candidate pool (up to
+  // k*alpha rows ranked by approximate distance) is re-scored at full
+  // precision; reported distances are always exact. Only the candidates
+  // whose error-bounded distance can still reach the top-k are re-read
+  // (SelectSq8RerankCandidates); the result equals a rerank of the whole
+  // pool. Each candidate carries the partition its scan read it from, so
+  // the sorted locations go straight to SearchByLocations — one cursor
+  // pass over the vectors table, no vidmap reads. A quantized plan none of
+  // whose partitions had SQ8 data already holds exact distances: truncate
+  // instead of re-reading.
   for (const size_t idx : scan_plans) {
     const PhysicalPlan& plan = plans[idx];
     if (!plan.quantized) continue;
@@ -489,10 +504,28 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
     }
     r.quantized = r.partitions_quantized > 0;
     r.rerank_candidates = r.neighbors.size();
+    // A candidate's error is its partition's max_error, 0 when it was
+    // scored at full precision. No pruning after a quarantine: the
+    // partial quantized scan and its float re-scan may both hold a row.
+    std::vector<bool> keep(r.neighbors.size(), true);
+    if (r.partitions_quarantined == 0) {
+      std::vector<Sq8RerankCandidate> cands;
+      cands.reserve(r.neighbors.size());
+      for (const Neighbor& nb : r.neighbors) {
+        auto it = sq8_error_terms.find(nb.partition);
+        Sq8RerankCandidate c =
+            it != sq8_error_terms.end() ? it->second : Sq8RerankCandidate{};
+        c.approx = nb.distance;
+        cands.push_back(c);
+      }
+      SelectSq8RerankCandidates(ctx_.metric, plan.query.data(), ctx_.dim,
+                                cands, plan.k, &keep);
+    }
     std::vector<RowLocation> rows;
     rows.reserve(r.neighbors.size());
-    for (const Neighbor& nb : r.neighbors) {
-      rows.emplace_back(nb.partition, nb.id);
+    for (size_t i = 0; i < r.neighbors.size(); ++i) {
+      const Neighbor& nb = r.neighbors[i];
+      if (keep[i]) rows.emplace_back(nb.partition, nb.id);
     }
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());

@@ -13,7 +13,8 @@
 //      the ScanPartitionIntoHeaps kernel, scoring a Qp x B distance block
 //      for the Qp plans that probe it, with per-plan filter pushdown.
 //   3. Merge op — per-(worker, plan) heaps merge into per-plan results.
-//      Quantized plans then rerank their candidates at full precision,
+//      Quantized plans then rerank at full precision the candidates
+//      whose error-bounded SQ8 distance can still reach the top-k,
 //      reading each row at the partition its scan recorded
 //      (SearchByLocations — no vidmap reads).
 //   4. Pre-filter plans run their vectorized candidate scoring
@@ -83,7 +84,8 @@ struct PlanResult {
   bool shared_scan = false;         // scans were shared with other plans
   /// Quantized-scan outcome (plans lowered with PhysicalPlan::quantized):
   /// partitions served by the SQ8 sidecar, candidates handed to the
-  /// full-precision rerank, and rows the rerank re-read. `quantized` is
+  /// full-precision rerank, and rows the rerank re-read (the candidates
+  /// the error bound could not rule out of the top-k). `quantized` is
   /// true only when at least one partition actually scanned quantized —
   /// a quantized plan over an unbuilt index degenerates to the float path
   /// and skips the rerank.

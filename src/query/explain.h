@@ -49,7 +49,9 @@ struct QueryExplain {
   /// Candidates the quantized scan produced and handed to the
   /// full-precision rerank (<= rerank_budget).
   uint64_t rerank_candidates = 0;
-  /// Rows re-read at full precision by the rerank op.
+  /// Rows re-read at full precision by the rerank op: the candidates
+  /// whose error-bounded distance can still reach the top-k, so
+  /// min(k, rerank_candidates) <= rows_reranked <= rerank_candidates.
   uint64_t rows_reranked = 0;
 
   /// Degraded-mode markers (docs/DURABILITY.md "Integrity & degraded

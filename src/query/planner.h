@@ -41,9 +41,9 @@ struct PhysicalPlan {
   /// SQ8 quantized partition scans (kUnfiltered / kPostFilter plans with
   /// quantization enabled): scans read the int8 sidecar rows of every
   /// partition that has parameters, heaps collect `rerank_k` = ceil(k *
-  /// alpha) candidates, and the executor's rerank op re-scores them at
-  /// full precision. Partitions without parameters fall back to the float
-  /// scan inside the same plan.
+  /// alpha) candidates, and the executor's rerank op re-scores at full
+  /// precision the ones that can still reach the top-k. Partitions without
+  /// parameters fall back to the float scan inside the same plan.
   bool quantized = false;
   uint32_t rerank_k = 0;
 

@@ -37,6 +37,11 @@ constexpr size_t kOffFrag = 6;
 constexpr size_t kOffRightChild = 8;
 constexpr size_t kOverflowHeader = 10;
 constexpr size_t kOverflowCapacity = kPageSize - kOverflowHeader;
+// A split leaves each half with at least one cell, so a leaf must fit two
+// of the largest inline cells (pointer + klen + flag + key + vlen + value).
+static_assert(kNodeHeader + 2 * (2 + 2 + 1 + kMaxKeySize + 2 +
+                                 kMaxInlineValue) <= kPageSize,
+              "two maximal inline cells must fit one leaf");
 
 bool IsLeaf(const Page& p) {
   return p.bytes()[0] == static_cast<uint8_t>(PageType::kBTreeLeaf);

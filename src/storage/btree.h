@@ -11,7 +11,7 @@
 //     key. Separators may become stale upper bounds after deletions, which
 //     is harmless.
 //   - Values larger than kMaxInlineValue spill to an overflow page chain
-//     (vector blobs for dimensions > 256 floats take this path).
+//     (vector rows of about 256 floats and more take this path).
 //   - Deletion frees empty nodes but tolerates under-full ones; the index
 //     rebuild path rewrites tables wholesale, which re-compacts them.
 //
@@ -39,8 +39,12 @@ namespace micronn {
 
 /// Maximum key length accepted by Put (keeps interior fanout sane).
 inline constexpr size_t kMaxKeySize = 512;
-/// Values longer than this are stored in an overflow chain.
-inline constexpr size_t kMaxInlineValue = 1024;
+/// Values longer than this are stored in an overflow chain. 1 KiB plus
+/// one float, so a dim-128 SQ8 params row (2*128 floats and its
+/// max_error), read for every probed partition of a quantized query,
+/// stays inline instead of costing an overflow page. A leaf still holds
+/// two cells of the largest key and inline value.
+inline constexpr size_t kMaxInlineValue = 1028;
 
 class BTreeCursor;
 

@@ -481,7 +481,10 @@ TEST_F(PagerConcurrencyTest, GroupCommitSharesFsyncsAndStaysDurable) {
   const std::string crash = (dir_ / "crash_db").string();
   std::filesystem::copy_file(path_, crash);
   std::filesystem::copy_file(path_ + "-wal", crash + "-wal");
+  std::filesystem::copy_file(path_ + "-sum", crash + "-sum");
   auto recovered = StorageEngine::Open(crash).value();
+  // With its checksum sidecar the image opens in strict verification.
+  EXPECT_TRUE(recovered->pager()->strict_checksums());
   auto txn = recovered->BeginRead().value();
   EXPECT_EQ(txn->GetTableInfo("g").value().row_count, expected_rows);
 }
@@ -612,7 +615,10 @@ TEST_F(PagerConcurrencyTest, PipelinedGroupCommitBatchesAppends) {
   const std::string crash = (dir_ / "crash_db").string();
   std::filesystem::copy_file(path_, crash);
   std::filesystem::copy_file(path_ + "-wal", crash + "-wal");
+  std::filesystem::copy_file(path_ + "-sum", crash + "-sum");
   auto recovered = StorageEngine::Open(crash).value();
+  // With its checksum sidecar the image opens in strict verification.
+  EXPECT_TRUE(recovered->pager()->strict_checksums());
   auto txn = recovered->BeginRead().value();
   EXPECT_EQ(txn->GetTableInfo("g").value().row_count, expected_rows);
 }

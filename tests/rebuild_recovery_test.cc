@@ -8,7 +8,9 @@
 // closed and reopened without faults, so DB::Open's repair runs. After it:
 // no staging ("#new") or retired ("#old") table is left, the rebuild flags
 // are clear, the collection matches an in-memory oracle row for row
-// (count and exact top-k), and a following BuildIndex and Maintain work.
+// (count and exact top-k), the SQ8 sidecar invariant holds row for row
+// (codes, and every row's reconstruction error within its partition's
+// stored max_error), and a following BuildIndex and Maintain work.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include "numerics/distance.h"
 #include "storage/engine.h"
 #include "support/fault_injection_file.h"
+#include "support/sq8_sidecar_check.h"
 
 namespace micronn {
 namespace {
@@ -187,6 +190,7 @@ class RebuildRecoveryTest : public ::testing::Test {
     }
     EXPECT_EQ(db->VectorCount().value(), oracle_.size());
     for (size_t q = 0; q < kQueries; ++q) ExpectExactTopK(db.get(), q);
+    VerifySidecar(db.get());
 
     ASSERT_TRUE(db->BuildIndex().ok());
     EXPECT_EQ(db->VectorCount().value(), oracle_.size());

@@ -1,13 +1,15 @@
 // SQ8 quantized scan path: codec round-trips, asymmetric kernel parity,
 // sidecar consistency across the whole write/maintenance lifecycle,
 // recall parity against the float path, batch/sequential parity with
-// quantized plans, and the EXPLAIN rerank counters.
+// quantized plans, the EXPLAIN rerank counters, and the error-bounded
+// rerank (candidate selection, and bit-identity with a full rerank).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <map>
 #include <random>
 
@@ -21,7 +23,9 @@
 #include "query/executor.h"
 #include "query/planner.h"
 #include "query/predicate.h"
+#include "storage/btree.h"
 #include "storage/key_encoding.h"
+#include "support/sq8_sidecar_check.h"
 
 namespace micronn {
 namespace {
@@ -89,12 +93,198 @@ TEST(Sq8ParamsTest, CodecRoundTrip) {
   Sq8PartitionParams params;
   params.min = {0.25f, -1.f, 3.5f};
   params.scale = {0.01f, 0.f, 2.f};
+  params.max_error = 0.125f;
   const std::string blob = EncodeSq8Params(params);
+  EXPECT_EQ(blob.size(), 7 * sizeof(float));
   Sq8PartitionParams out;
   ASSERT_TRUE(DecodeSq8Params(blob, 3, &out).ok());
   EXPECT_EQ(out.min, params.min);
   EXPECT_EQ(out.scale, params.scale);
+  EXPECT_EQ(out.max_error, 0.125f);
   EXPECT_FALSE(DecodeSq8Params(blob, 4, &out).ok());
+}
+
+// Every quantized query reads the params row of each probed partition:
+// at dim 128 (the benchmark's and SIFT's) it must not spill to an
+// overflow page.
+TEST(Sq8ParamsTest, Dim128RowStaysInline) {
+  Sq8PartitionParams params;
+  params.min.assign(128, 0.f);
+  params.scale.assign(128, 1.f);
+  params.max_error = 0.5f;
+  EXPECT_LE(EncodeSq8Params(params).size(), kMaxInlineValue);
+}
+
+// A params row with floats appended to the 2*dim+1 layout.
+std::string ParamsBlob(std::vector<float> floats) {
+  return std::string(reinterpret_cast<const char*>(floats.data()),
+                     floats.size() * sizeof(float));
+}
+
+TEST(Sq8ParamsTest, LegacyRowDecodesToInfiniteError) {
+  // Exactly 2*dim floats: written before max_error existed.
+  Sq8PartitionParams out;
+  out.max_error = 1.f;
+  ASSERT_TRUE(DecodeSq8Params(ParamsBlob({0.f, 1.f, 0.5f, 0.25f}), 2, &out)
+                  .ok());
+  EXPECT_EQ(out.min, (std::vector<float>{0.f, 1.f}));
+  EXPECT_EQ(out.scale, (std::vector<float>{0.5f, 0.25f}));
+  EXPECT_EQ(out.max_error, std::numeric_limits<float>::infinity());
+}
+
+TEST(Sq8ParamsTest, RejectsOtherSizesAndBadErrors) {
+  Sq8PartitionParams out;
+  // Sizes around the two valid ones (2*dim = 4 and 2*dim+1 = 5 floats).
+  for (const size_t n : {0u, 3u, 6u, 8u}) {
+    const Status st =
+        DecodeSq8Params(ParamsBlob(std::vector<float>(n, 0.f)), 2, &out);
+    EXPECT_TRUE(st.IsCorruption()) << n << " floats";
+  }
+  // A torn trailing float.
+  std::string torn = ParamsBlob({0.f, 1.f, 0.5f, 0.25f});
+  torn.append(2, '\0');
+  EXPECT_TRUE(DecodeSq8Params(torn, 2, &out).IsCorruption());
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(DecodeSq8Params(ParamsBlob({0.f, 1.f, 0.5f, 0.25f, nan}), 2,
+                              &out)
+                  .IsCorruption());
+  EXPECT_TRUE(DecodeSq8Params(ParamsBlob({0.f, 1.f, 0.5f, 0.25f, -0.5f}), 2,
+                              &out)
+                  .IsCorruption());
+  // +inf (unknown error) and 0 (exact codes) are valid bounds.
+  const float inf = std::numeric_limits<float>::infinity();
+  ASSERT_TRUE(
+      DecodeSq8Params(ParamsBlob({0.f, 1.f, 0.5f, 0.25f, inf}), 2, &out).ok());
+  EXPECT_EQ(out.max_error, inf);
+  ASSERT_TRUE(
+      DecodeSq8Params(ParamsBlob({0.f, 1.f, 0.5f, 0.25f, 0.f}), 2, &out).ok());
+  EXPECT_EQ(out.max_error, 0.f);
+}
+
+TEST(Sq8ParamsTest, ReconstructionErrorIsAnUpperBound) {
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<float> unit(-1.f, 1.f);
+  const size_t dim = 24;
+  std::vector<float> min(dim), scale(dim), v(dim);
+  std::vector<uint8_t> codes(dim);
+  for (size_t d = 0; d < dim; ++d) {
+    min[d] = unit(rng);
+    scale[d] = (unit(rng) + 1.5f) / 255.f;
+  }
+  for (int iter = 0; iter < 200; ++iter) {
+    // Half the rows escape the box and clamp.
+    for (size_t d = 0; d < dim; ++d) v[d] = 3.f * unit(rng);
+    QuantizeSq8(v.data(), min.data(), scale.data(), dim, codes.data());
+    double sum = 0;
+    for (size_t d = 0; d < dim; ++d) {
+      const double diff =
+          double{v[d]} - (double{min[d]} + double{scale[d]} * codes[d]);
+      sum += diff * diff;
+    }
+    const float err = Sq8ReconstructionError(v.data(), codes.data(),
+                                             min.data(), scale.data(), dim);
+    EXPECT_GE(double{err}, std::sqrt(sum));
+    EXPECT_LE(double{err}, std::sqrt(sum) * (1 + 1e-6));
+  }
+  // Exact codes give exactly 0; a NaN input gives +inf, never NaN.
+  const float zero_min[2] = {1.f, 2.f};
+  const float zero_scale[2] = {0.f, 0.f};
+  const uint8_t zero_codes[2] = {0, 0};
+  EXPECT_EQ(Sq8ReconstructionError(zero_min, zero_codes, zero_min, zero_scale,
+                                   2),
+            0.f);
+  const float nan_row[2] = {std::numeric_limits<float>::quiet_NaN(), 2.f};
+  EXPECT_EQ(Sq8ReconstructionError(nan_row, zero_codes, zero_min, zero_scale,
+                                   2),
+            std::numeric_limits<float>::infinity());
+}
+
+// ---------------------------------------------------------------------------
+// Rerank candidate selection (the error bound)
+// ---------------------------------------------------------------------------
+
+std::vector<Sq8RerankCandidate> Candidates(const std::vector<float>& approx,
+                                           float max_error) {
+  std::vector<Sq8RerankCandidate> out;
+  for (const float a : approx) {
+    out.push_back({.approx = a, .max_error = max_error, .reach = 0.f});
+  }
+  return out;
+}
+
+TEST(Sq8SelectTest, ExactScoresKeepTheTopKAndItsTies) {
+  const float q[2] = {0.f, 0.f};
+  std::vector<bool> keep;
+  // eps = 0 (scored at full precision): the bounds are the scores.
+  EXPECT_EQ(SelectSq8RerankCandidates(Metric::kL2, q, 2,
+                                      Candidates({5, 1, 4, 2, 3}, 0.f), 2,
+                                      &keep),
+            2u);
+  EXPECT_EQ(keep, (std::vector<bool>{false, true, false, true, false}));
+  // Ties at the k-th score are all kept: any of them may win on id.
+  EXPECT_EQ(SelectSq8RerankCandidates(Metric::kL2, q, 2,
+                                      Candidates({2, 1, 2, 9, 2}, 0.f), 2,
+                                      &keep),
+            4u);
+  EXPECT_EQ(keep, (std::vector<bool>{true, true, true, false, true}));
+  EXPECT_EQ(SelectSq8RerankCandidates(Metric::kInnerProduct, q, 2,
+                                      Candidates({-3, -1, -3, -2}, 0.f), 1,
+                                      &keep),
+            2u);
+  EXPECT_EQ(keep, (std::vector<bool>{true, false, true, false}));
+}
+
+TEST(Sq8SelectTest, ErrorWidensTheBounds) {
+  const float q[2] = {0.6f, 0.8f};  // ||q|| = 1
+  std::vector<bool> keep;
+  // L2 in sqrt space with eps 0.5: the k=1 upper bound is (1 + 0.5)^2 =
+  // 2.25, which ties the second candidate's lower bound (2 - 0.5)^2.
+  EXPECT_EQ(SelectSq8RerankCandidates(Metric::kL2, q, 2,
+                                      Candidates({1, 4, 9, 16}, 0.5f), 1,
+                                      &keep),
+            2u);
+  EXPECT_EQ(keep, (std::vector<bool>{true, true, false, false}));
+  // Dot metrics: +-||q||*eps. Intervals [-6,-4], [-4.9,-2.9], [-2,0].
+  EXPECT_EQ(SelectSq8RerankCandidates(Metric::kCosine, q, 2,
+                                      Candidates({-5, -3.9f, -1}, 1.f), 1,
+                                      &keep),
+            2u);
+  EXPECT_EQ(keep, (std::vector<bool>{true, true, false}));
+  // The same pool with eps 0 keeps only the best.
+  EXPECT_EQ(SelectSq8RerankCandidates(Metric::kCosine, q, 2,
+                                      Candidates({-5, -3.9f, -1}, 0.f), 1,
+                                      &keep),
+            1u);
+}
+
+TEST(Sq8SelectTest, UnknownErrorKeepsEverything) {
+  const float q[2] = {1.f, 0.f};
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<bool> keep;
+  for (const Metric metric :
+       {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
+    // eps = +inf on every candidate: nothing can be ruled out.
+    EXPECT_EQ(SelectSq8RerankCandidates(metric, q, 2,
+                                        Candidates({1, 2, 30, 400}, inf), 1,
+                                        &keep),
+              4u);
+    // One unknown candidate among exact ones is kept; the rest prune.
+    std::vector<Sq8RerankCandidate> mixed = Candidates({1, 2, 30, 400}, 0.f);
+    mixed[3].max_error = inf;
+    EXPECT_EQ(SelectSq8RerankCandidates(metric, q, 2, mixed, 1, &keep), 2u);
+    EXPECT_EQ(keep, (std::vector<bool>{true, false, false, true}));
+    // A NaN score is kept too.
+    mixed = Candidates({1, 2, std::numeric_limits<float>::quiet_NaN()}, 0.f);
+    EXPECT_EQ(SelectSq8RerankCandidates(metric, q, 2, mixed, 1, &keep), 2u);
+    EXPECT_EQ(keep, (std::vector<bool>{true, false, true}));
+  }
+  // k == 0, or no more candidates than k: everything is kept.
+  EXPECT_EQ(SelectSq8RerankCandidates(Metric::kL2, q, 2,
+                                      Candidates({1, 2, 3}, 0.f), 0, &keep),
+            3u);
+  EXPECT_EQ(SelectSq8RerankCandidates(Metric::kL2, q, 2,
+                                      Candidates({1, 2, 3}, 0.f), 3, &keep),
+            3u);
 }
 
 TEST(Sq8BoundsTest, FinalizeDerivesAffineParams) {
@@ -204,89 +394,114 @@ class Sq8DbTest : public ::testing::Test {
     return db;
   }
 
-  // The SQ8 storage invariant: whenever a partition has parameters, its
-  // sidecar rows mirror the float rows key-for-key and every code byte is
-  // exactly what re-quantizing the stored float row would produce; a
-  // partition without parameters has no sidecar rows. No orphans either
-  // direction.
-  void VerifySidecar(DB* db) {
+  struct RerankTotals {
+    uint64_t reranked = 0;
+    uint64_t candidates = 0;
+  };
+
+  // Reranks each query's whole candidate pool without the executor: the
+  // probe set from the centroids, SQ8 distances from the sidecar tables
+  // (float distances for a partition without params), the top rerank_k by
+  // (distance, id), then every candidate's exact distance. Search's rerank,
+  // which re-reads only the candidates the error bound keeps, must return
+  // exactly the top-k of that, ids and distances.
+  RerankTotals ExpectRerankMatchesFullPool(
+      DB* db, const std::vector<std::vector<float>>& queries, uint32_t k,
+      uint32_t nprobe) {
     const uint32_t dim = db->options().dim;
-    auto txn = db->engine()->BeginRead().value();
-    BTree vectors = txn->OpenTable(kVectorsTable).value();
-    BTree sq8 = txn->OpenTable(kSq8Table).value();
-    BTree sq8params = txn->OpenTable(kSq8ParamsTable).value();
+    const Metric metric = db->options().metric;
+    RerankTotals totals;
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE("query " + std::to_string(q));
+      SearchRequest req;
+      req.query = queries[q];
+      req.k = k;
+      req.nprobe = nprobe;
+      req.quantized = true;
+      Result<SearchResponse> resp = db->Search(req);
+      EXPECT_TRUE(resp.ok()) << resp.status().ToString();
+      if (!resp.ok()) continue;
+      EXPECT_TRUE(resp->explain.quantized);
 
-    std::map<uint32_t, Sq8PartitionParams> params;
-    {
-      BTreeCursor c = sq8params.NewCursor();
-      ASSERT_TRUE(c.SeekToFirst().ok());
-      while (c.Valid()) {
-        std::string_view key = c.key();
-        uint32_t partition;
-        ASSERT_TRUE(key::ConsumeU32(&key, &partition));
-        Sq8PartitionParams p;
-        ASSERT_TRUE(DecodeSq8Params(c.value().value(), dim, &p).ok());
-        params.emplace(partition, std::move(p));
-        ASSERT_TRUE(c.Next().ok());
-      }
-    }
+      auto txn = db->engine()->BeginRead().value();
+      BTree vectors = txn->OpenTable(kVectorsTable).value();
+      BTree sq8 = txn->OpenTable(kSq8Table).value();
+      BTree sq8params = txn->OpenTable(kSq8ParamsTable).value();
+      QueryPlanner planner(txn.get(), &db->options(), [] {
+        return Result<
+            std::shared_ptr<const std::map<std::string, ColumnStats>>>(
+            std::make_shared<const std::map<std::string, ColumnStats>>());
+      });
+      const PhysicalPlan plan = planner.Lower(req).value();
+      const CentroidSet cset =
+          LoadCentroidSet(txn->view(), txn->OpenTable(kCentroidsTable).value(),
+                          txn->OpenTable(kMetaTable).value(), dim, metric)
+              .value();
+      std::vector<uint32_t> probe = ComputeProbeSets(
+          cset, dim, {ProbeRequest{plan.query.data(), plan.nprobe}})[0];
+      probe.push_back(kDeltaPartition);
 
-    size_t float_rows = 0;
-    size_t quantized_rows = 0;
-    std::vector<uint8_t> expect(dim);
-    {
-      BTreeCursor c = vectors.NewCursor();
-      ASSERT_TRUE(c.SeekToFirst().ok());
-      while (c.Valid()) {
-        uint32_t partition;
-        uint64_t vid;
-        ASSERT_TRUE(ParseVectorKey(c.key(), &partition, &vid).ok());
+      auto exact_distance = [&](std::string_view value) {
         VectorRow row;
-        const std::string value = c.value().value();
-        ASSERT_TRUE(DecodeVectorRow(value, dim, &row).ok());
-        ++float_rows;
-        auto sq8_row = sq8.Get(VectorKey(partition, vid)).value();
-        auto it = params.find(partition);
-        if (it == params.end()) {
-          EXPECT_FALSE(sq8_row.has_value())
-              << "sidecar row without params, partition " << partition;
-        } else {
-          ASSERT_TRUE(sq8_row.has_value())
-              << "missing sidecar row, partition " << partition << " vid "
-              << vid;
-          const uint8_t* codes = DecodeSq8Row(*sq8_row, dim).value();
-          // The blob sits at an arbitrary offset inside the row encoding;
-          // copy it out so the float loads are aligned.
-          std::vector<float> vec(dim);
-          std::memcpy(vec.data(), row.vector_blob.data(),
-                      dim * sizeof(float));
-          QuantizeSq8(vec.data(), it->second.min.data(),
-                      it->second.scale.data(), dim, expect.data());
-          EXPECT_EQ(0, std::memcmp(codes, expect.data(), dim))
-              << "stale codes, partition " << partition << " vid " << vid;
-          ++quantized_rows;
+        EXPECT_TRUE(DecodeVectorRow(value, dim, &row).ok());
+        std::vector<float> vec(dim);
+        std::memcpy(vec.data(), row.vector_blob.data(), dim * sizeof(float));
+        float d = 0.f;
+        DistanceOneToMany(metric, plan.query.data(), vec.data(), 1, dim, &d);
+        return d;
+      };
+      TopKHeap pool(plan.rerank_k);
+      for (const uint32_t partition : probe) {
+        const std::optional<Sq8PartitionParams> params =
+            GetSq8Params(&sq8params, partition, dim).value();
+        Sq8QueryContext ctx;
+        if (params.has_value()) {
+          ctx.Prepare(metric, plan.query.data(), params->min.data(),
+                      params->scale.data(), dim);
         }
-        ASSERT_TRUE(c.Next().ok());
+        BTreeCursor c = (params.has_value() ? sq8 : vectors).NewCursor();
+        const std::string prefix = PartitionPrefix(partition);
+        EXPECT_TRUE(c.Seek(prefix).ok());
+        while (c.Valid() && c.key().substr(0, prefix.size()) == prefix) {
+          uint32_t p;
+          uint64_t vid;
+          EXPECT_TRUE(ParseVectorKey(c.key(), &p, &vid).ok());
+          const std::string value = c.value().value();
+          float d = 0.f;
+          if (params.has_value()) {
+            Sq8DistanceOneToMany(ctx, DecodeSq8Row(value, dim).value(), 1,
+                                 &d);
+          } else {
+            d = exact_distance(value);
+          }
+          pool.Push(vid, d, partition);
+          EXPECT_TRUE(c.Next().ok());
+        }
       }
-    }
-    // No orphans: every sidecar row has a float row.
-    size_t sidecar_rows = 0;
-    {
-      BTreeCursor c = sq8.NewCursor();
-      ASSERT_TRUE(c.SeekToFirst().ok());
-      while (c.Valid()) {
-        uint32_t partition;
-        uint64_t vid;
-        ASSERT_TRUE(ParseVectorKey(c.key(), &partition, &vid).ok());
-        EXPECT_TRUE(vectors.Get(VectorKey(partition, vid)).value().has_value())
-            << "orphan sidecar row, partition " << partition << " vid "
-            << vid;
-        ++sidecar_rows;
-        ASSERT_TRUE(c.Next().ok());
+      const std::vector<Neighbor> candidates = pool.TakeSorted();
+      TopKHeap reranked(k);
+      for (const Neighbor& nb : candidates) {
+        auto row = vectors.Get(VectorKey(nb.partition, nb.id)).value();
+        EXPECT_TRUE(row.has_value()) << "vid " << nb.id;
+        if (row.has_value()) reranked.Push(nb.id, exact_distance(*row));
       }
+      const std::vector<Neighbor> expected = reranked.TakeSorted();
+
+      EXPECT_EQ(resp->explain.rerank_candidates, candidates.size());
+      EXPECT_LE(std::min<uint64_t>(k, candidates.size()),
+                resp->explain.rows_reranked);
+      EXPECT_LE(resp->explain.rows_reranked, candidates.size());
+      EXPECT_EQ(resp->items.size(), expected.size());
+      for (size_t i = 0; i < std::min(expected.size(), resp->items.size());
+           ++i) {
+        EXPECT_EQ(resp->items[i].vid, expected[i].id) << "rank " << i;
+        EXPECT_EQ(resp->items[i].distance, expected[i].distance)
+            << "rank " << i;
+      }
+      totals.reranked += resp->explain.rows_reranked;
+      totals.candidates += resp->explain.rerank_candidates;
     }
-    EXPECT_EQ(sidecar_rows, quantized_rows);
-    (void)float_rows;
+    return totals;
   }
 
   std::filesystem::path dir_;
@@ -431,7 +646,11 @@ TEST_F(Sq8DbTest, ExplainReportsRerankCounters) {
   EXPECT_EQ(resp.explain.rerank_budget, 40u);  // k * alpha (4.0 default)
   EXPECT_GT(resp.explain.rerank_candidates, 0u);
   EXPECT_LE(resp.explain.rerank_candidates, resp.explain.rerank_budget);
-  EXPECT_EQ(resp.explain.rows_reranked, resp.explain.rerank_candidates);
+  // The error bound drops candidates that cannot reach the top-k before
+  // any read: the rerank re-reads at least k of them and at most all.
+  EXPECT_LE(std::min<uint64_t>(req.k, resp.explain.rerank_candidates),
+            resp.explain.rows_reranked);
+  EXPECT_LE(resp.explain.rows_reranked, resp.explain.rerank_candidates);
   EXPECT_NE(resp.explain.ToString().find("sq8["), std::string::npos);
 
   // The per-request opt-out wins over the DB default.
@@ -810,6 +1029,138 @@ TEST_F(Sq8DbTest, DriftRequantizationRefreshesBounds) {
   EXPECT_EQ(report.partitions_requantized, 0u);
   EXPECT_LT(max_bound(db.get()), 4.0);  // bounds stayed stale
   VerifySidecar(db.get());
+}
+
+// The error-bounded rerank re-reads only the candidates that can still
+// reach the top-k, and returns exactly what reranking the whole pool
+// returns — for every metric, right after a build, with clamped rows in
+// the delta store, and after Maintain flushed those clamped rows into
+// partitions whose bounds no longer cover them (drift requantization is
+// off here, so the clamped codes stay and the flush raises max_error).
+TEST_F(Sq8DbTest, PrunedRerankMatchesFullPoolRerank) {
+  for (const Metric metric :
+       {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
+    SCOPED_TRACE("metric " + std::to_string(static_cast<int>(metric)));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    DatasetSpec spec;
+    spec.name = "sq8-prune";
+    spec.dim = 16;
+    spec.metric = metric;
+    spec.n = 2000;
+    spec.n_queries = 16;
+    Dataset ds = GenerateDataset(spec);
+    DbOptions options = SmallOptions(spec.dim, metric);
+    options.centroid_index_threshold = 0;  // the oracle probes centroids
+    options.sq8_requantize_saturation = 0;
+    auto db = LoadDataset(ds, options);
+    ASSERT_TRUE(db->BuildIndex().ok());
+    VerifySidecar(db.get());
+
+    std::vector<std::vector<float>> queries;
+    for (size_t q = 0; q < spec.n_queries; ++q) {
+      queries.emplace_back(ds.query(q), ds.query(q) + spec.dim);
+    }
+    const RerankTotals built =
+        ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+    EXPECT_LT(built.reranked, built.candidates) << "nothing was pruned";
+
+    // Rows shifted out of the global box in half their dimensions: their
+    // delta codes clamp, and the delta params' max_error grows to cover them.
+    std::vector<UpsertRequest> shifted;
+    for (size_t i = 0; i < 150; ++i) {
+      UpsertRequest req;
+      req.asset_id = "shift" + std::to_string(i);
+      req.vector.assign(ds.row(i), ds.row(i) + spec.dim);
+      for (uint32_t d = 0; d < spec.dim; d += 2) req.vector[d] += 2.0f;
+      shifted.push_back(std::move(req));
+    }
+    ASSERT_TRUE(db->Upsert(shifted).ok());
+    VerifySidecar(db.get());
+    for (size_t i = 0; i < 8; ++i) queries.push_back(shifted[i].vector);
+    ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+
+    const MaintenanceReport report = db->Maintain().value();
+    ASSERT_FALSE(report.full_rebuild);
+    EXPECT_EQ(report.delta_flushed, shifted.size());
+    VerifySidecar(db.get());
+    ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+  }
+}
+
+// A params row written before max_error existed (exactly 2*dim floats)
+// decodes to an unknown error: its partition's candidates are never
+// pruned, results stay those of the full rerank, and upserts and flushes
+// into it leave the row as it is.
+TEST_F(Sq8DbTest, LegacyParamsRowsRerankEverything) {
+  DatasetSpec spec;
+  spec.name = "sq8-legacy";
+  spec.dim = 16;
+  spec.n = 1500;
+  spec.n_queries = 8;
+  Dataset ds = GenerateDataset(spec);
+  DbOptions options = SmallOptions(spec.dim);
+  options.centroid_index_threshold = 0;
+  options.sq8_requantize_saturation = 0;  // no params row is rewritten
+  auto db = LoadDataset(ds, options);
+  ASSERT_TRUE(db->BuildIndex().ok());
+
+  const size_t legacy_size = 2 * spec.dim * sizeof(float);
+  auto params_sizes = [&] {
+    std::vector<size_t> sizes;
+    auto txn = db->engine()->BeginRead().value();
+    BTreeCursor c = txn->OpenTable(kSq8ParamsTable).value().NewCursor();
+    EXPECT_TRUE(c.SeekToFirst().ok());
+    while (c.Valid()) {
+      sizes.push_back(c.value().value().size());
+      EXPECT_TRUE(c.Next().ok());
+    }
+    return sizes;
+  };
+  {
+    auto txn = db->engine()->BeginWrite().value();
+    BTree sq8params = txn->OpenTable(kSq8ParamsTable).value();
+    std::vector<std::pair<std::string, std::string>> rows;
+    BTreeCursor c = sq8params.NewCursor();
+    ASSERT_TRUE(c.SeekToFirst().ok());
+    while (c.Valid()) {
+      const std::string value = c.value().value();
+      ASSERT_EQ(value.size(), legacy_size + sizeof(float));
+      rows.emplace_back(std::string(c.key()), value.substr(0, legacy_size));
+      ASSERT_TRUE(c.Next().ok());
+    }
+    for (const auto& [key, value] : rows) {
+      ASSERT_TRUE(sq8params.Put(key, value).ok());
+    }
+    ASSERT_TRUE(db->engine()->Commit(std::move(txn)).ok());
+  }
+  const std::vector<size_t> sizes = params_sizes();
+  ASSERT_FALSE(sizes.empty());
+  for (const size_t size : sizes) EXPECT_EQ(size, legacy_size);
+
+  std::vector<std::vector<float>> queries;
+  for (size_t q = 0; q < spec.n_queries; ++q) {
+    queries.emplace_back(ds.query(q), ds.query(q) + spec.dim);
+  }
+  RerankTotals totals = ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+  EXPECT_EQ(totals.reranked, totals.candidates);
+
+  std::vector<UpsertRequest> extra;
+  for (size_t i = 0; i < 100; ++i) {
+    UpsertRequest req;
+    req.asset_id = "x" + std::to_string(i);
+    req.vector.assign(ds.row(i), ds.row(i) + spec.dim);
+    for (float& f : req.vector) f += 0.5f;
+    extra.push_back(std::move(req));
+  }
+  ASSERT_TRUE(db->Upsert(extra).ok());
+  totals = ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+  EXPECT_EQ(totals.reranked, totals.candidates);
+  ASSERT_TRUE(db->Maintain().ok());
+  VerifySidecar(db.get());
+  totals = ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+  EXPECT_EQ(totals.reranked, totals.candidates);
+  for (const size_t size : params_sizes()) EXPECT_EQ(size, legacy_size);
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ TEST_F(BTreeTest, SequentialInsertStaysCompact) {
 
 TEST_F(BTreeTest, OverflowValuesRoundTrip) {
   BTree t = Tree();
-  // Values above kMaxInlineValue (1 KiB) spill to overflow chains; test
+  // Values above kMaxInlineValue (~1 KiB) spill to overflow chains; test
   // one-page and multi-page chains, including exactly-at-boundary sizes.
   for (size_t len : {kMaxInlineValue, kMaxInlineValue + 1, kPageSize - 10,
                      kPageSize, 3 * kPageSize + 123, size_t{40000}}) {
