@@ -53,7 +53,7 @@ int main() {
       const auto start = Clock::now();
       const auto resp = db->Search(req).value();
       lat.push_back(MsSince(start));
-      rows += resp.rows_scanned;
+      rows += resp.explain.rows_scanned;
     }
     std::printf("%8.2f %10.3f %12.2f %8u %12.3f %12.3f %12llu\n", lambda,
                 stats.size_cv,

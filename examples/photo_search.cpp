@@ -116,9 +116,10 @@ int main(int argc, char** argv) {
     req.filter = scenario.filter;
     auto resp = db->Search(req).value();
     std::printf("\nquery [%s]\n  plan=%s est_filter=%.5f est_ivf=%.5f\n",
-                scenario.label, std::string(QueryPlanName(resp.plan)).c_str(),
-                resp.decision.filter_selectivity,
-                resp.decision.ivf_selectivity);
+                scenario.label,
+                std::string(QueryPlanName(resp.explain.plan)).c_str(),
+                resp.explain.decision.filter_selectivity,
+                resp.explain.decision.ivf_selectivity);
     for (const ResultItem& item : resp.items) {
       std::printf("  %-10s d=%.4f\n", item.asset_id.c_str(), item.distance);
     }

@@ -14,8 +14,8 @@ namespace {
 
 void PrintResults(const char* title, const SearchResponse& resp) {
   std::printf("%s (plan=%s, rows_scanned=%llu)\n", title,
-              std::string(QueryPlanName(resp.plan)).c_str(),
-              static_cast<unsigned long long>(resp.rows_scanned));
+              std::string(QueryPlanName(resp.explain.plan)).c_str(),
+              static_cast<unsigned long long>(resp.explain.rows_scanned));
   for (const ResultItem& item : resp.items) {
     std::printf("  %-12s  distance=%.4f\n", item.asset_id.c_str(),
                 item.distance);

@@ -592,20 +592,17 @@ void DB::ExecuteQueryGroup(const std::vector<QueryGroupEntry*>& group) {
     if (attributes.ok()) ctx.attributes = *attributes;
   }
   QueryExecutor executor(std::move(ctx));
-  BatchCounters counters;
-  Result<std::vector<PlanResult>> executed = executor.Execute(plans, &counters);
+  Result<std::vector<PlanResult>> executed = executor.Execute(plans);
   if (!executed.ok()) {
     fail_pending(executed.status());
     return;
   }
   const std::vector<PlanResult>& results = *executed;
 
-  const uint32_t group_size = static_cast<uint32_t>(plans.size());
   for (size_t gi = 0; gi < plans.size(); ++gi) {
     QueryGroupEntry* entry = refs[gi].entry;
     if (!entry->status.ok()) continue;  // a sibling plan's resolve failed
     SearchResponse& resp = entry->responses[refs[gi].local];
-    const PhysicalPlan& plan = plans[gi];
     const PlanResult& result = results[gi];
     Result<std::vector<ResultItem>> items =
         ResolveItems(txn.get(), result.neighbors);
@@ -615,46 +612,16 @@ void DB::ExecuteQueryGroup(const std::vector<QueryGroupEntry*>& group) {
       continue;
     }
     resp.items = std::move(*items);
-    resp.plan = plan.plan;
-    resp.decision = plan.decision;
-    resp.partitions_scanned = result.counters.partitions_scanned;
-    resp.rows_scanned = result.counters.rows_scanned;
-    resp.rows_filtered = result.counters.rows_filtered;
-
-    QueryExplain& ex = resp.explain;
-    ex.plan = plan.plan;
-    ex.decision = plan.decision;
-    ex.optimized = plan.optimized;
-    // nprobe only drives ANN strategies; zero it where it played no part.
-    ex.nprobe = (plan.plan == QueryPlan::kPreFilter ||
-                 plan.plan == QueryPlan::kExact)
-                    ? 0
-                    : plan.nprobe;
-    ex.probe_pairs = result.probe_pairs;
-    ex.candidates = plan.prefilter_vids.size();
-    ex.partitions_scanned = resp.partitions_scanned;
-    ex.rows_scanned = resp.rows_scanned;
-    ex.rows_filtered = resp.rows_filtered;
-    ex.quantized = result.quantized;
-    ex.partitions_quantized = result.partitions_quantized;
-    ex.rerank_budget = plan.quantized ? plan.rerank_k : 0;
-    ex.rerank_candidates = result.rerank_candidates;
-    ex.rows_reranked = result.rows_reranked;
-    ex.partitions_quarantined = result.partitions_quarantined;
-    ex.rows_quarantined = result.counters.rows_quarantined;
     // Remember what this query quarantined so Health() can name it and
     // the background healer knows there is something to re-verify.
     for (const uint32_t partition : result.quarantined_partition_ids) {
       quarantine_.NoteSq8Partition(partition);
     }
-    quarantine_.NoteAttributeRows(result.counters.rows_quarantined);
-    ex.shared_scan = result.shared_scan;
-    ex.group_size = group_size;
-    ex.group_partitions_scanned = counters.partitions_scanned;
-    ex.group_rows_scanned = counters.rows_scanned;
-    ex.group_probe_pairs = counters.probe_pairs;
-    ex.coalesced_group_size = entry->group_entries;
-    ex.coalesce_wait_us = entry->wait_us;
+    quarantine_.NoteAttributeRows(result.explain.rows_quarantined);
+    resp.explain = result.explain;
+    resp.explain.coalesced_group_size = entry->group_entries;
+    resp.explain.coalesce_wait_us = entry->wait_us;
+    resp.plan = resp.explain.plan;
   }
 }
 

@@ -54,17 +54,13 @@ struct DbOptions {
   // --- Quantized scans (SQ8) ---
   // ANN partition scans read the int8 scalar-quantized copy of each row
   // (~4x fewer scanned bytes) and re-score at full precision those of the
-  // top k*alpha candidates whose error-bounded distance can still reach
-  // the top-k. Per-partition parameters are maintained by index builds,
-  // upserts and delta flushes; partitions without parameters (e.g. before
-  // the first build) transparently scan full precision. Exact and
-  // pre-filter plans never use the quantized path. Opt out per request
-  // via SearchRequest::quantized.
-  /// Rerank pool ceiling alpha: quantized scans collect ceil(k * alpha)
-  /// candidates, and the rerank re-reads only those the per-partition
-  /// error bound cannot rule out. Larger alpha buys recall headroom; the
-  /// re-reads it costs grow only with the candidates that stay in reach.
-  float sq8_rerank_alpha = 4.0f;
+  // top k*alpha candidates (alpha = kSq8RerankAlpha, query/planner.h)
+  // whose error-bounded distance can still reach the top-k. Per-partition
+  // parameters are maintained by index builds, upserts and delta flushes;
+  // partitions without parameters (e.g. before the first build)
+  // transparently scan full precision. Exact and pre-filter plans never
+  // use the quantized path. Opt out per request via
+  // SearchRequest::quantized.
   /// SQ8 drift requantization: delta flushes quantize moved rows with
   /// their destination partition's existing (possibly stale) bounds;
   /// codes that fall outside the box saturate. Maintain() tracks the
@@ -162,8 +158,8 @@ struct SearchRequest {
   bool exact = false;
   /// Quantized (SQ8) ANN partition scans; false forces full-precision
   /// scans (benchmarks and tests compare the two paths over one
-  /// snapshot). Unset means quantized.
-  std::optional<bool> quantized;
+  /// snapshot).
+  bool quantized = true;
 };
 
 struct ResultItem {
@@ -174,19 +170,13 @@ struct ResultItem {
 
 struct SearchResponse {
   std::vector<ResultItem> items;
-  /// Physical plan actually executed: kPreFilter/kPostFilter for hybrid
-  /// queries, kUnfiltered for plain ANN, kExact for exhaustive scans.
-  QueryPlan plan = QueryPlan::kUnfiltered;
-  /// The optimizer's estimates (hybrid queries with plan == kAuto).
-  PlanDecision decision;
-  /// True per-query execution counters (a batched query reports only its
-  /// own share of the shared scans).
-  uint64_t partitions_scanned = 0;
-  uint64_t rows_scanned = 0;
-  uint64_t rows_filtered = 0;
   /// EXPLAIN-style report: plan, estimates, per-query counters, and the
   /// batch-group scan-sharing counters. `explain.ToString()` renders it.
   QueryExplain explain;
+  /// Copy of `explain.plan`, kept only because the end-to-end benchmark's
+  /// answer validation (e2ebench/src/data.cc) reads it; new code reads
+  /// `explain.plan`.
+  QueryPlan plan = QueryPlan::kUnfiltered;
 };
 
 /// What Maintain() did.

@@ -322,7 +322,7 @@ Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
                                            const float* query, uint32_t k,
                                            const std::vector<uint64_t>& vids,
                                            ThreadPool* pool,
-                                           SearchCounters* counters,
+                                           ScanCounters* counters,
                                            const PrefetchContext* prefetch) {
   // Vidmap stage: resolve vid -> partition. The vids arrive sorted, so the
   // vidmap point reads walk that tree in key order (and, with a prefetch
@@ -352,7 +352,7 @@ Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
 Result<std::vector<Neighbor>> SearchByLocations(
     BTree vectors, Metric metric, uint32_t dim, const float* query,
     uint32_t k, std::span<const RowLocation> rows, ThreadPool* pool,
-    SearchCounters* counters, const PrefetchContext* prefetch) {
+    ScanCounters* counters, const PrefetchContext* prefetch) {
   const size_t n_rows = rows.size();
   // VectorKey preserves (partition, vid) order, so the rows form one
   // sorted key run — batch its leaves ahead of the cursor walk. In async

@@ -19,16 +19,6 @@
 
 namespace micronn {
 
-/// Per-query execution counters, surfaced for benchmarks and tests.
-struct SearchCounters {
-  uint64_t partitions_scanned = 0;
-  uint64_t rows_scanned = 0;
-  uint64_t rows_filtered = 0;
-  /// Rows skipped because their attribute record was corrupt (quarantined
-  /// instead of failing the query); mirrors ScanCounters::rows_quarantined.
-  uint64_t rows_quarantined = 0;
-};
-
 /// Shared attribute-filter evaluation for a heterogeneous-filter fan-in:
 /// fetches and decodes the row's attribute record once per row, then
 /// evaluates every distinct fan-in predicate against it. verdicts[s]
@@ -124,12 +114,13 @@ using RowLocation = std::pair<uint32_t, uint64_t>;
 /// (BTreeCursor::SeekForward + ValueView — no per-row root-to-leaf
 /// descent, no value copy), decoded into SIMD blocks and scored with
 /// DistanceOneToMany over kScanBlockRows rows; large runs split across
-/// `pool` (may be null). Returned neighbors carry their partition. A row
+/// `pool` (may be null). Returned neighbors carry their partition, and
+/// `counters` (optional) gains the rows scored in `rows_scanned`. A row
 /// missing at its location is Corruption naming the vid and partition.
 Result<std::vector<Neighbor>> SearchByLocations(
     BTree vectors, Metric metric, uint32_t dim, const float* query,
     uint32_t k, std::span<const RowLocation> rows, ThreadPool* pool,
-    SearchCounters* counters, const PrefetchContext* prefetch = nullptr);
+    ScanCounters* counters, const PrefetchContext* prefetch = nullptr);
 
 /// Brute-force top-k over an explicit list of row ids (the pre-filtering
 /// executor's second stage). The vidmap stage resolves each vid to its
@@ -143,7 +134,7 @@ Result<std::vector<Neighbor>> SearchByVids(BTree vectors, BTree vidmap,
                                            const float* query, uint32_t k,
                                            const std::vector<uint64_t>& vids,
                                            ThreadPool* pool,
-                                           SearchCounters* counters,
+                                           ScanCounters* counters,
                                            const PrefetchContext* prefetch =
                                                nullptr);
 

@@ -31,7 +31,14 @@ static_assert(sizeof(Neighbor) == 16, "partition must fit in the padding");
 /// which doubles as the pruning bound during partition scans.
 class TopKHeap {
  public:
-  explicit TopKHeap(size_t k) : k_(k) { heap_.reserve(k); }
+  /// Up-front reserve ceiling: any k is valid (a request may ask for more
+  /// rows than exist), so beyond this the heap grows with the rows
+  /// actually pushed instead of allocating k slots it may never fill.
+  static constexpr size_t kMaxReserve = 4096;
+
+  explicit TopKHeap(size_t k) : k_(k) {
+    heap_.reserve(std::min(k, kMaxReserve));
+  }
 
   size_t k() const { return k_; }
   size_t size() const { return heap_.size(); }

@@ -30,16 +30,6 @@ struct ProbeRequest {
   uint32_t nprobe = 0;           // partitions to probe (clamped to size)
 };
 
-/// Aggregate counters for one batch (plan-group) execution.
-struct BatchCounters {
-  /// Physical partition scans performed. Equals the unique partitions
-  /// touched, except that a partition whose fan-in mixes quantized and
-  /// float plans is scanned once per representation and counts twice.
-  uint64_t partitions_scanned = 0;
-  uint64_t rows_scanned = 0;        // rows decoded across all partitions
-  uint64_t probe_pairs = 0;         // sum over queries of probe set sizes
-};
-
 /// Computes each request's probe set: the partition ids of its nprobe
 /// nearest centroids, nearest first (the delta partition is NOT included —
 /// callers always add it). Uses per-query accelerated lookups when the

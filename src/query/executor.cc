@@ -36,13 +36,42 @@ uint32_t HeapK(const PhysicalPlan& plan) {
   return plan.quantized ? plan.rerank_k : plan.k;
 }
 
+// The planner's facts, copied into the plan's EXPLAIN once; everything
+// else in it is an execution counter this file fills.
+QueryExplain PlannerFacts(const PhysicalPlan& plan) {
+  QueryExplain ex;
+  ex.plan = plan.plan;
+  ex.decision = plan.decision;
+  ex.optimized = plan.optimized;
+  // nprobe only drives ANN strategies; zero it where it played no part.
+  ex.nprobe = (plan.plan == QueryPlan::kPreFilter ||
+               plan.plan == QueryPlan::kExact)
+                  ? 0
+                  : plan.nprobe;
+  ex.candidates = plan.prefilter_vids.size();
+  ex.rerank_budget = plan.quantized ? plan.rerank_k : 0;
+  return ex;
+}
+
+// One plan's share of one worker's scans.
+struct PlanSlot {
+  explicit PlanSlot(uint32_t heap_k) : heap(heap_k) {}
+  TopKHeap heap;
+  ScanCounters counters;
+  uint64_t partitions_quantized = 0;
+  // Quarantine events, carrying the partition id (the merge derives the
+  // count and the id list from the same vector).
+  std::vector<uint32_t> quarantined;
+};
+
 }  // namespace
 
 Result<std::vector<PlanResult>> QueryExecutor::Execute(
-    const std::vector<PhysicalPlan>& plans, BatchCounters* group) {
+    const std::vector<PhysicalPlan>& plans) {
   const size_t n = plans.size();
   std::vector<PlanResult> results(n);
   if (n == 0) return results;
+  for (size_t i = 0; i < n; ++i) results[i].explain = PlannerFacts(plans[i]);
 
   // Split the group by strategy: partition-scanning plans share scans;
   // pre-filter plans score their own candidate sets.
@@ -72,7 +101,7 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
         for (const uint32_t partition : physical) {
           fanin[partition].push_back(idx);
         }
-        results[idx].counters.partitions_scanned = physical.size() + 1;
+        results[idx].explain.partitions_scanned = physical.size() + 1;
       } else {
         ann_plans.push_back(idx);
       }
@@ -96,9 +125,10 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
         for (const uint32_t partition : probe_sets[a]) {
           fanin[partition].push_back(idx);
         }
-        results[idx].probe_pairs = probe_sets[a].size();
+        QueryExplain& ex = results[idx].explain;
+        ex.probe_pairs = probe_sets[a].size();
         // +1: the delta partition (Algorithm 2 line 3, added below).
-        results[idx].counters.partitions_scanned = probe_sets[a].size() + 1;
+        ex.partitions_scanned = probe_sets[a].size() + 1;
       }
     }
     // Every partition-scanning plan visits the delta store.
@@ -120,7 +150,9 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
   // > 1 (with >= 2 scan plans that is always at least the delta scan).
   for (const PartitionWork& pw : work) {
     if (pw.plan_idx.size() < 2) continue;
-    for (const size_t idx : pw.plan_idx) results[idx].shared_scan = true;
+    for (const size_t idx : pw.plan_idx) {
+      results[idx].explain.shared_scan = true;
+    }
   }
 
   // Load SQ8 parameters for every partition a quantized plan probes.
@@ -149,7 +181,7 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
                            << params.status().ToString();
         for (const size_t idx : work[i].plan_idx) {
           if (plans[idx].quantized) {
-            ++results[idx].partitions_quarantined;
+            ++results[idx].explain.partitions_quarantined;
             results[idx].quarantined_partition_ids.push_back(
                 work[i].partition);
           }
@@ -175,21 +207,20 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
   }
 
   // Phase 2: partition-scan op. Each partition is scanned exactly once
-  // per representation; per-(worker, plan) heaps and counters. Slot
-  // layout: pool workers first, the calling thread last — the caller
-  // always drains work too, so a scheduler leader executing a coalesced
-  // group never idles while its scans sit queued (nested execution, see
+  // per representation into per-(worker, plan) slots. Worker layout: pool
+  // workers first, the calling thread last — the caller always drains
+  // work too, so a scheduler leader executing a coalesced group never
+  // idles while its scans sit queued (nested execution, see
   // ThreadPool::HelpWait).
   const size_t pool_threads =
       ctx_.pool != nullptr ? ctx_.pool->num_threads() : 0;
   const size_t n_workers = pool_threads + 1;
   struct WorkerState {
-    std::unordered_map<size_t, TopKHeap> heaps;
-    std::unordered_map<size_t, ScanCounters> counters;
-    std::unordered_map<size_t, uint64_t> quantized_partitions;
-    // Quarantine events per plan, carrying the partition id (the merge
-    // derives the count and the id list from the same vector).
-    std::unordered_map<size_t, std::vector<uint32_t>> quarantined_partitions;
+    std::unordered_map<size_t, PlanSlot> slots;  // by plan index
+    // The slot of plan `idx`, created on the worker's first scan for it.
+    PlanSlot& slot(const std::vector<PhysicalPlan>& plans, size_t idx) {
+      return slots.try_emplace(idx, HeapK(plans[idx])).first->second;
+    }
     ScanCounters physical;  // rows decoded once per shared scan
     // Physical partition scans: a partition whose fan-in splits by
     // representation is scanned once per representation and counts twice,
@@ -210,14 +241,13 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
     s.targets.reserve(idxs.size());
     size_t filtered = 0;
     for (const size_t idx : idxs) {
-      auto [it, inserted] =
-          ws.heaps.try_emplace(idx, TopKHeap(HeapK(plans[idx])));
+      PlanSlot& slot = ws.slot(plans, idx);
       HeapScanTarget t;
       t.query = plans[idx].query.data();
-      t.heap = &it->second;
+      t.heap = &slot.heap;
       t.filter = plans[idx].filter != nullptr ? plans[idx].filter.get()
                                               : nullptr;
-      t.counters = &ws.counters[idx];
+      t.counters = &slot.counters;
       s.targets.push_back(t);
       if (t.filter != nullptr) ++filtered;
     }
@@ -298,14 +328,14 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
         MICRONN_LOG(kWarn) << "quarantining SQ8 sidecar of partition "
                            << pw.partition << ": " << qs.ToString();
         for (const size_t idx : quant_idx) {
-          ws.quarantined_partitions[idx].push_back(pw.partition);
+          ws.slot(plans, idx).quarantined.push_back(pw.partition);
           float_idx.push_back(idx);
         }
       } else {
         MICRONN_RETURN_IF_ERROR(qs);
         ++ws.physical_scans;
         for (const size_t idx : quant_idx) {
-          ++ws.quantized_partitions[idx];
+          ++ws.slot(plans, idx).partitions_quantized;
         }
       }
     }
@@ -450,31 +480,31 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
     MICRONN_RETURN_IF_ERROR(ws.status);
   }
 
-  // Phase 3: merge op — fold per-worker heaps and counters per plan.
+  // Phase 3: merge op — fold every worker's plan slots into the results,
+  // and its physical scans into the group counters.
+  uint64_t group_partitions_scanned = 0;
+  uint64_t group_rows_scanned = 0;
   {
     std::unordered_map<size_t, TopKHeap> merged;
     merged.reserve(scan_plans.size());
     for (const size_t idx : scan_plans) {
       merged.try_emplace(idx, TopKHeap(HeapK(plans[idx])));
     }
-    for (WorkerState& ws : workers) {
-      for (auto& [idx, heap] : ws.heaps) {
-        merged.at(idx).Merge(heap);
+    for (const WorkerState& ws : workers) {
+      for (const auto& [idx, slot] : ws.slots) {
+        merged.at(idx).Merge(slot.heap);
+        QueryExplain& ex = results[idx].explain;
+        ex.rows_scanned += slot.counters.rows_scanned;
+        ex.rows_filtered += slot.counters.rows_filtered;
+        ex.rows_quarantined += slot.counters.rows_quarantined;
+        ex.partitions_quantized += slot.partitions_quantized;
+        ex.partitions_quarantined += slot.quarantined.size();
+        std::vector<uint32_t>& ids = results[idx].quarantined_partition_ids;
+        ids.insert(ids.end(), slot.quarantined.begin(),
+                   slot.quarantined.end());
       }
-      for (const auto& [idx, sc] : ws.counters) {
-        results[idx].counters.rows_scanned += sc.rows_scanned;
-        results[idx].counters.rows_filtered += sc.rows_filtered;
-        results[idx].counters.rows_quarantined += sc.rows_quarantined;
-      }
-      for (const auto& [idx, count] : ws.quantized_partitions) {
-        results[idx].partitions_quantized += count;
-      }
-      for (const auto& [idx, ids] : ws.quarantined_partitions) {
-        results[idx].partitions_quarantined += ids.size();
-        results[idx].quarantined_partition_ids.insert(
-            results[idx].quarantined_partition_ids.end(), ids.begin(),
-            ids.end());
-      }
+      group_partitions_scanned += ws.physical_scans;
+      group_rows_scanned += ws.physical.rows_scanned;
     }
     for (const size_t idx : scan_plans) {
       results[idx].neighbors = merged.at(idx).TakeSorted();
@@ -495,20 +525,21 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
     const PhysicalPlan& plan = plans[idx];
     if (!plan.quantized) continue;
     PlanResult& r = results[idx];
+    QueryExplain& ex = r.explain;
     // A quarantined partition also forces the rerank: its float re-scan
     // may have duplicated rows the partial quantized scan already pushed,
     // and the deduped exact re-score below removes them.
-    if (r.partitions_quantized == 0 && r.partitions_quarantined == 0) {
+    if (ex.partitions_quantized == 0 && ex.partitions_quarantined == 0) {
       if (r.neighbors.size() > plan.k) r.neighbors.resize(plan.k);
       continue;
     }
-    r.quantized = r.partitions_quantized > 0;
-    r.rerank_candidates = r.neighbors.size();
+    ex.quantized = ex.partitions_quantized > 0;
+    ex.rerank_candidates = r.neighbors.size();
     // A candidate's error is its partition's max_error, 0 when it was
     // scored at full precision. No pruning after a quarantine: the
     // partial quantized scan and its float re-scan may both hold a row.
     std::vector<bool> keep(r.neighbors.size(), true);
-    if (r.partitions_quarantined == 0) {
+    if (ex.partitions_quarantined == 0) {
       std::vector<Sq8RerankCandidate> cands;
       cands.reserve(r.neighbors.size());
       for (const Neighbor& nb : r.neighbors) {
@@ -529,42 +560,40 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
     }
     std::sort(rows.begin(), rows.end());
     rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    SearchCounters rerank_counters;
+    ScanCounters reranked;
     MICRONN_ASSIGN_OR_RETURN(
         r.neighbors,
         SearchByLocations(ctx_.vectors, ctx_.metric, ctx_.dim,
                           plan.query.data(), plan.k, rows, ctx_.pool,
-                          &rerank_counters, prefetch_ctx));
-    r.rows_reranked = rerank_counters.rows_scanned;
-  }
-
-  if (group != nullptr) {
-    for (const size_t idx : scan_plans) {
-      group->probe_pairs += results[idx].probe_pairs;
-    }
-    for (const WorkerState& ws : workers) {
-      group->partitions_scanned += ws.physical_scans;
-      group->rows_scanned += ws.physical.rows_scanned;
-    }
+                          &reranked, prefetch_ctx));
+    ex.rows_reranked = reranked.rows_scanned;
   }
 
   // Phase 4: pre-filter plans — vectorized candidate scoring over the
   // same pool (the §3.5 pre-filtering executor's second stage).
   for (const size_t idx : pre_plans) {
     const PhysicalPlan& plan = plans[idx];
+    ScanCounters scored;
     MICRONN_ASSIGN_OR_RETURN(
         results[idx].neighbors,
         SearchByVids(ctx_.vectors, ctx_.vidmap, ctx_.metric, ctx_.dim,
                      plan.query.data(), plan.k, plan.prefilter_vids,
-                     ctx_.pool, &results[idx].counters, prefetch_ctx));
+                     ctx_.pool, &scored, prefetch_ctx));
+    results[idx].explain.rows_scanned = scored.rows_scanned;
+    group_rows_scanned += scored.rows_scanned;
   }
 
-  if (group != nullptr) {
-    for (const size_t idx : pre_plans) {
-      group->rows_scanned += results[idx].counters.rows_scanned;
-    }
+  // Group counters: the same on every plan of the group.
+  uint64_t group_probe_pairs = 0;
+  for (const PlanResult& r : results) {
+    group_probe_pairs += r.explain.probe_pairs;
   }
-
+  for (PlanResult& r : results) {
+    r.explain.group_size = static_cast<uint32_t>(n);
+    r.explain.group_partitions_scanned = group_partitions_scanned;
+    r.explain.group_rows_scanned = group_rows_scanned;
+    r.explain.group_probe_pairs = group_probe_pairs;
+  }
   return results;
 }
 

@@ -33,6 +33,7 @@
 #include "ivf/centroid_set.h"
 #include "ivf/search.h"
 #include "query/batch.h"
+#include "query/explain.h"
 #include "query/planner.h"
 
 namespace micronn {
@@ -79,26 +80,10 @@ struct ExecutorContext {
 /// One plan's outcome.
 struct PlanResult {
   std::vector<Neighbor> neighbors;  // ascending distance
-  SearchCounters counters;          // true per-plan counters
-  uint64_t probe_pairs = 0;         // probe set size, delta excluded
-  bool shared_scan = false;         // scans were shared with other plans
-  /// Quantized-scan outcome (plans lowered with PhysicalPlan::quantized):
-  /// partitions served by the SQ8 sidecar, candidates handed to the
-  /// full-precision rerank, and rows the rerank re-read (the candidates
-  /// the error bound could not rule out of the top-k). `quantized` is
-  /// true only when at least one partition actually scanned quantized —
-  /// a quantized plan over an unbuilt index degenerates to the float path
-  /// and skips the rerank.
-  bool quantized = false;
-  uint64_t partitions_quantized = 0;
-  uint64_t rerank_candidates = 0;
-  uint64_t rows_reranked = 0;
-  /// Probed partitions whose quantized representation was quarantined
-  /// (corrupt SQ8 params row or sidecar page): the partition was served
-  /// by the full-precision float scan instead, so results stay correct
-  /// at a latency cost. Rows quarantined by corrupt attribute records
-  /// are counted in `counters.rows_quarantined`.
-  uint64_t partitions_quarantined = 0;
+  /// The plan's EXPLAIN: the planner's facts copied from the PhysicalPlan,
+  /// and every per-plan and group counter of this execution. Only the
+  /// admission scheduler's two fields are left for the caller.
+  QueryExplain explain;
   /// The quarantined partitions' ids (one entry per quarantine event, so
   /// a partition probed by several plans can repeat) — what DB threads
   /// into its QuarantineRegistry so DB::Health() can name the partitions
@@ -110,11 +95,11 @@ class QueryExecutor {
  public:
   explicit QueryExecutor(ExecutorContext ctx) : ctx_(std::move(ctx)) {}
 
-  /// Executes every plan of the group. `group` (optional) receives the
-  /// group-level counters: physical partition scans performed, rows
+  /// Executes every plan of the group. Each result's explain carries the
+  /// group-level counters too: physical partition scans performed, rows
   /// decoded once per shared scan, and total probe pairs.
   Result<std::vector<PlanResult>> Execute(
-      const std::vector<PhysicalPlan>& plans, BatchCounters* group);
+      const std::vector<PhysicalPlan>& plans);
 
  private:
   ExecutorContext ctx_;

@@ -5,6 +5,14 @@
 // and the *true* per-query execution counters — plus, when the query ran
 // inside a batch, the group-level scan-sharing counters (§3.4) that show
 // how much work the multi-query optimization actually saved.
+//
+// It is the one per-query report from the executor to the caller, and
+// each field has one writer: the QueryExecutor copies the planner's facts
+// (plan, decision, optimized, nprobe, candidates, rerank_budget) from the
+// PhysicalPlan and fills every execution and group counter;
+// DB::ExecuteQueryGroup adds only the admission scheduler's
+// coalesced_group_size and coalesce_wait_us. docs/ARCHITECTURE.md
+// "EXPLAIN" tabulates the split.
 #ifndef MICRONN_QUERY_EXPLAIN_H_
 #define MICRONN_QUERY_EXPLAIN_H_
 
@@ -30,8 +38,8 @@ struct QueryExplain {
   /// Candidate rows produced by the attribute indexes (pre-filter plans).
   uint64_t candidates = 0;
 
-  // True per-query execution counters (duplicated from SearchResponse so
-  // the explain is self-contained).
+  // True per-query execution counters: a batched query reports only its
+  // own share of the shared scans.
   uint64_t partitions_scanned = 0;
   uint64_t rows_scanned = 0;
   uint64_t rows_filtered = 0;
@@ -44,7 +52,8 @@ struct QueryExplain {
   /// Probed partitions served by the quantized sidecar; the remainder
   /// (partitions_scanned - partitions_quantized) fell back to float scans.
   uint64_t partitions_quantized = 0;
-  /// Candidate budget of the quantized scan: ceil(k * sq8_rerank_alpha).
+  /// Candidate budget of the quantized scan: k * kSq8RerankAlpha
+  /// (query/planner.h), saturating at UINT32_MAX; 0 for float plans.
   uint32_t rerank_budget = 0;
   /// Candidates the quantized scan produced and handed to the
   /// full-precision rerank (<= rerank_budget).

@@ -1,7 +1,7 @@
 #include "query/planner.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "ivf/schema.h"
@@ -91,14 +91,11 @@ Result<PhysicalPlan> QueryPlanner::Lower(const SearchRequest& request) {
   // exact plans promise exhaustive full-precision answers, and pre-filter
   // plans already score their candidates exactly. Quantized unless the
   // request opts out.
-  const bool want_quantized = request.quantized.value_or(true);
   auto enable_quantized = [&] {
-    if (!want_quantized) return;
+    if (!request.quantized) return;
     plan.quantized = true;
-    const float alpha = std::max(1.0f, options_->sq8_rerank_alpha);
-    plan.rerank_k = std::max(
-        plan.k, static_cast<uint32_t>(
-                    std::ceil(static_cast<float>(plan.k) * alpha)));
+    plan.rerank_k = static_cast<uint32_t>(std::min<uint64_t>(
+        plan.k * kSq8RerankAlpha, std::numeric_limits<uint32_t>::max()));
   };
 
   if (request.exact) {

@@ -26,6 +26,13 @@
 
 namespace micronn {
 
+/// Rerank pool ceiling alpha of quantized plans: their scans collect
+/// k * alpha candidates, and the rerank re-reads only those the
+/// per-partition error bound cannot rule out of the top-k. Larger alpha
+/// buys recall headroom; the re-reads it costs grow only with the
+/// candidates that stay in reach.
+inline constexpr uint64_t kSq8RerankAlpha = 4;
+
 /// A lowered query: the physical strategy plus everything the executor
 /// needs to run it (normalized query, bound filter, candidate set).
 struct PhysicalPlan {
@@ -40,8 +47,9 @@ struct PhysicalPlan {
 
   /// SQ8 quantized partition scans (kUnfiltered / kPostFilter plans with
   /// quantization enabled): scans read the int8 sidecar rows of every
-  /// partition that has parameters, heaps collect `rerank_k` = ceil(k *
-  /// alpha) candidates, and the executor's rerank op re-scores at full
+  /// partition that has parameters, heaps collect `rerank_k` = k *
+  /// kSq8RerankAlpha candidates (saturating at UINT32_MAX, so any k is
+  /// valid), and the executor's rerank op re-scores at full
   /// precision the ones that can still reach the top-k. Partitions without
   /// parameters fall back to the float scan inside the same plan.
   bool quantized = false;

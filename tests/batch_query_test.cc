@@ -11,6 +11,7 @@
 #include "core/db.h"
 #include "datagen/dataset.h"
 #include "query/batch.h"
+#include "support/explain_invariants.h"
 
 namespace micronn {
 namespace {
@@ -58,10 +59,12 @@ class BatchTest : public ::testing::Test {
 
   // Asserts that the batched response `got` is identical to what
   // per-query Search returns for `req`: items (ids AND distances), plan,
-  // optimizer estimates, and every per-query counter.
+  // optimizer estimates, and every per-query counter. The sequential
+  // response's EXPLAIN must hold the invariants too.
   void ExpectMatchesSingle(const SearchRequest& req,
                            const SearchResponse& got, size_t q) {
     const SearchResponse single = db_->Search(req).value();
+    ExpectExplainInvariants(req, single);
     ASSERT_EQ(got.items.size(), single.items.size()) << "q=" << q;
     for (size_t i = 0; i < single.items.size(); ++i) {
       EXPECT_EQ(got.items[i].vid, single.items[i].vid)
@@ -69,16 +72,21 @@ class BatchTest : public ::testing::Test {
       EXPECT_EQ(got.items[i].distance, single.items[i].distance)
           << "q=" << q << " i=" << i;
     }
-    EXPECT_EQ(got.plan, single.plan) << "q=" << q;
-    EXPECT_EQ(got.decision.plan, single.decision.plan) << "q=" << q;
-    EXPECT_EQ(got.decision.filter_selectivity,
-              single.decision.filter_selectivity)
+    EXPECT_EQ(got.explain.plan, single.explain.plan) << "q=" << q;
+    EXPECT_EQ(got.explain.decision.plan, single.explain.decision.plan)
         << "q=" << q;
-    EXPECT_EQ(got.decision.ivf_selectivity, single.decision.ivf_selectivity)
+    EXPECT_EQ(got.explain.decision.filter_selectivity,
+              single.explain.decision.filter_selectivity)
         << "q=" << q;
-    EXPECT_EQ(got.partitions_scanned, single.partitions_scanned) << "q=" << q;
-    EXPECT_EQ(got.rows_scanned, single.rows_scanned) << "q=" << q;
-    EXPECT_EQ(got.rows_filtered, single.rows_filtered) << "q=" << q;
+    EXPECT_EQ(got.explain.decision.ivf_selectivity,
+              single.explain.decision.ivf_selectivity)
+        << "q=" << q;
+    EXPECT_EQ(got.explain.partitions_scanned, single.explain.partitions_scanned)
+        << "q=" << q;
+    EXPECT_EQ(got.explain.rows_scanned, single.explain.rows_scanned)
+        << "q=" << q;
+    EXPECT_EQ(got.explain.rows_filtered, single.explain.rows_filtered)
+        << "q=" << q;
     EXPECT_EQ(got.explain.probe_pairs, single.explain.probe_pairs)
         << "q=" << q;
     EXPECT_EQ(got.explain.candidates, single.explain.candidates)
@@ -166,9 +174,9 @@ TEST_F(BatchTest, HeterogeneousBatchSharesScansAndMatchesSequential) {
   for (size_t q = 0; q < 3; ++q) {
     ExpectMatchesSingle(requests[q], batched[q], q);
     EXPECT_TRUE(batched[q].explain.shared_scan) << q;
-    sum_partitions += batched[q].partitions_scanned;
+    sum_partitions += batched[q].explain.partitions_scanned;
   }
-  EXPECT_EQ(batched[2].plan, QueryPlan::kExact);
+  EXPECT_EQ(batched[2].explain.plan, QueryPlan::kExact);
   // The exact plan already visits every partition, so sharing must put
   // the group's unique-partition count strictly below the per-query sum.
   EXPECT_LT(batched[0].explain.group_partitions_scanned, sum_partitions);
@@ -191,7 +199,7 @@ TEST_F(BatchTest, SharedScanTouchesEachPartitionOnce) {
   const auto stats = db_->GetIndexStats().value();
   // Each response reports its own share: 8 probes + delta.
   for (const auto& resp : responses) {
-    EXPECT_EQ(resp.partitions_scanned, 9u);
+    EXPECT_EQ(resp.explain.partitions_scanned, 9u);
     EXPECT_EQ(resp.explain.probe_pairs, 8u);
     EXPECT_TRUE(resp.explain.shared_scan);
     EXPECT_EQ(resp.explain.group_size, 200u);
@@ -223,10 +231,10 @@ TEST_F(BatchTest, FilteredHomogeneousBatchSharesScans) {
   uint64_t sum_partitions = 0;
   for (size_t q = 0; q < batched.size(); ++q) {
     ExpectMatchesSingle(requests[q], batched[q], q);
-    EXPECT_EQ(batched[q].plan, QueryPlan::kPostFilter);
+    EXPECT_EQ(batched[q].explain.plan, QueryPlan::kPostFilter);
     EXPECT_TRUE(batched[q].explain.shared_scan) << q;
-    EXPECT_GT(batched[q].rows_filtered, 0u) << q;
-    sum_partitions += batched[q].partitions_scanned;
+    EXPECT_GT(batched[q].explain.rows_filtered, 0u) << q;
+    sum_partitions += batched[q].explain.partitions_scanned;
   }
   // Scan sharing: the batch's unique partitions < sum of per-query counts
   // (16 queries x 9 partitions each, but at most n_partitions + 1 unique).
@@ -249,9 +257,10 @@ TEST_F(BatchTest, MixedNprobeBatchSharesScans) {
   for (size_t q = 0; q < batched.size(); ++q) {
     ExpectMatchesSingle(requests[q], batched[q], q);
     // Per-query counters, not the batch totals of the old engine.
-    EXPECT_EQ(batched[q].partitions_scanned, nprobes[q % 4] + 1ull) << q;
+    EXPECT_EQ(batched[q].explain.partitions_scanned, nprobes[q % 4] + 1ull)
+        << q;
     EXPECT_EQ(batched[q].explain.probe_pairs, nprobes[q % 4]) << q;
-    sum_partitions += batched[q].partitions_scanned;
+    sum_partitions += batched[q].explain.partitions_scanned;
   }
   EXPECT_LT(batched[0].explain.group_partitions_scanned, sum_partitions);
 }
@@ -273,13 +282,13 @@ TEST_F(BatchTest, PreFilterPlanInsideBatch) {
   for (size_t q = 0; q < batched.size(); ++q) {
     ExpectMatchesSingle(requests[q], batched[q], q);
   }
-  EXPECT_EQ(batched[5].plan, QueryPlan::kPreFilter);
+  EXPECT_EQ(batched[5].explain.plan, QueryPlan::kPreFilter);
   EXPECT_EQ(batched[5].explain.candidates, kN / 250);
-  EXPECT_LT(batched[5].decision.filter_selectivity,
-            batched[5].decision.ivf_selectivity);
+  EXPECT_LT(batched[5].explain.decision.filter_selectivity,
+            batched[5].explain.decision.ivf_selectivity);
   // The pre-filter plan scores its candidate set; it joins no scans.
-  EXPECT_EQ(batched[5].partitions_scanned, 0u);
-  EXPECT_EQ(batched[5].rows_scanned, kN / 250);
+  EXPECT_EQ(batched[5].explain.partitions_scanned, 0u);
+  EXPECT_EQ(batched[5].explain.rows_scanned, kN / 250);
   // The other seven still shared their partition scans.
   EXPECT_TRUE(batched[0].explain.shared_scan);
   EXPECT_LT(batched[0].explain.group_partitions_scanned, 7ull * 9ull);
@@ -329,6 +338,7 @@ TEST_F(BatchTest, RandomizedHeterogeneousFilteredParity) {
   }
   auto batched = db_->BatchSearch(requests).value();
   ASSERT_EQ(batched.size(), requests.size());
+  ExpectExplainInvariants(requests, batched);
   for (size_t q = 0; q < batched.size(); ++q) {
     ExpectMatchesSingle(requests[q], batched[q], q);
   }

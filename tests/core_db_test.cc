@@ -4,12 +4,16 @@
 
 #include <atomic>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <thread>
 
 #include "core/db.h"
 #include "datagen/dataset.h"
 #include "ivf/search.h"
+#include "numerics/distance.h"
+#include "support/explain_invariants.h"
 
 namespace micronn {
 namespace {
@@ -217,6 +221,93 @@ TEST_F(DbTest, DeleteAfterBuildIsReflected) {
   EXPECT_NE(after.items[0].asset_id, victim);
 }
 
+// Any k is valid request input: k = UINT32_MAX asks for more rows than
+// exist, so every plan returns every live row it reaches, with exact
+// distances — nothing sizes a buffer or a rerank pool by k itself.
+TEST_F(DbTest, HugeKReturnsEveryLiveRowWithExactDistances) {
+  constexpr uint32_t kDim = 8;
+  constexpr size_t kRows = 500;
+  Dataset ds = GenerateDataset({"t", kDim, Metric::kL2, kRows, 1, 8, 0.2f, 9});
+  auto db = DB::Open(path_, SmallOptions(kDim)).value();
+  std::vector<UpsertRequest> batch;
+  for (size_t i = 0; i < kRows; ++i) {
+    UpsertRequest req;
+    req.asset_id = "a" + std::to_string(i);
+    req.vector.assign(ds.row(i), ds.row(i) + kDim);
+    req.attributes["odd"] = AttributeValue::Int(static_cast<int64_t>(i % 2));
+    batch.push_back(std::move(req));
+  }
+  ASSERT_TRUE(db->Upsert(batch).ok());
+  ASSERT_TRUE(db->BuildIndex().ok());
+  // Deleted rows must not come back; rows upserted after the build sit in
+  // the delta store and must.
+  std::vector<std::string> deleted;
+  for (size_t i = 0; i < kRows; i += 50) {
+    deleted.push_back("a" + std::to_string(i));
+  }
+  ASSERT_TRUE(db->Delete(deleted).ok());
+  ASSERT_TRUE(db->Upsert({batch[1], batch[3]}).ok());
+
+  const std::vector<float> query(ds.query(0), ds.query(0) + kDim);
+  // Expected distance of every live row (same kernel as the search).
+  std::map<std::string, float> live;
+  for (size_t i = 0; i < kRows; ++i) {
+    if (i % 50 == 0) continue;
+    float d = 0.f;
+    DistanceOneToMany(Metric::kL2, query.data(), ds.row(i), 1, kDim, &d);
+    live["a" + std::to_string(i)] = d;
+  }
+
+  struct Case {
+    const char* name;
+    QueryPlan plan;
+    bool quantized;
+    bool exact;
+    PlanOverride filtered;  // kAuto: unfiltered
+  };
+  const Case cases[] = {
+      {"sq8", QueryPlan::kUnfiltered, true, false, PlanOverride::kAuto},
+      {"float", QueryPlan::kUnfiltered, false, false, PlanOverride::kAuto},
+      {"exact", QueryPlan::kExact, true, true, PlanOverride::kAuto},
+      {"post-filter", QueryPlan::kPostFilter, true, false,
+       PlanOverride::kForcePostFilter},
+      {"pre-filter", QueryPlan::kPreFilter, true, false,
+       PlanOverride::kForcePreFilter},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SearchRequest req;
+    req.query = query;
+    req.k = std::numeric_limits<uint32_t>::max();
+    req.nprobe = 1000;  // every partition
+    req.quantized = c.quantized;
+    req.exact = c.exact;
+    const bool filtered = c.filtered != PlanOverride::kAuto;
+    if (filtered) {
+      req.filter = Predicate::Compare("odd", CompareOp::kEq,
+                                      AttributeValue::Int(1));
+      req.plan = c.filtered;
+    }
+    Result<SearchResponse> resp = db->Search(req);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ASSERT_EQ(resp->explain.plan, c.plan);
+    ExpectExplainInvariants(req, *resp);
+    size_t want = 0;
+    for (const auto& [asset, d] : live) {
+      want += !filtered || std::stoul(asset.substr(1)) % 2 == 1;
+    }
+    EXPECT_EQ(resp->items.size(), want);
+    float prev = 0.f;
+    for (const ResultItem& item : resp->items) {
+      auto it = live.find(item.asset_id);
+      ASSERT_NE(it, live.end()) << item.asset_id;
+      EXPECT_EQ(item.distance, it->second) << item.asset_id;
+      EXPECT_LE(prev, item.distance);
+      prev = item.distance;
+    }
+  }
+}
+
 TEST_F(DbTest, HybridPreAndPostFilterAgreeOnSelectiveQueries) {
   Dataset ds = GenerateDataset({"t", 16, Metric::kL2, 3000, 10, 24, 0.2f, 25});
   DbOptions options = SmallOptions(16);
@@ -240,7 +331,7 @@ TEST_F(DbTest, HybridPreAndPostFilterAgreeOnSelectiveQueries) {
                                   AttributeValue::Int(7));
   req.plan = PlanOverride::kForcePreFilter;
   auto pre = db->Search(req).value();
-  EXPECT_EQ(pre.plan, QueryPlan::kPreFilter);
+  EXPECT_EQ(pre.explain.plan, QueryPlan::kPreFilter);
   for (const auto& item : pre.items) {
     EXPECT_EQ(item.vid % 100, 8u);  // vid = row + 1; bucket = row % 100
   }
@@ -277,15 +368,16 @@ TEST_F(DbTest, OptimizerPicksPreFilterForSelectivePredicates) {
   req.filter = Predicate::Compare("kind", CompareOp::kEq,
                                   AttributeValue::String("rare"));
   auto rare = db->Search(req).value();
-  EXPECT_EQ(rare.plan, QueryPlan::kPreFilter);
-  EXPECT_LT(rare.decision.filter_selectivity, rare.decision.ivf_selectivity);
+  EXPECT_EQ(rare.explain.plan, QueryPlan::kPreFilter);
+  EXPECT_LT(rare.explain.decision.filter_selectivity,
+            rare.explain.decision.ivf_selectivity);
 
   req.filter = Predicate::Compare("kind", CompareOp::kEq,
                                   AttributeValue::String("common"));
   auto common = db->Search(req).value();
-  EXPECT_EQ(common.plan, QueryPlan::kPostFilter);
-  EXPECT_GE(common.decision.filter_selectivity,
-            common.decision.ivf_selectivity);
+  EXPECT_EQ(common.explain.plan, QueryPlan::kPostFilter);
+  EXPECT_GE(common.explain.decision.filter_selectivity,
+            common.explain.decision.ivf_selectivity);
 }
 
 TEST_F(DbTest, FtsMatchFilter) {
@@ -343,7 +435,7 @@ TEST_F(DbTest, BatchSearchScansPartitionsOnce) {
   // Unique partitions scanned must be <= #partitions + delta, far below
   // 32 queries x 5 partitions.
   const auto stats = db->GetIndexStats().value();
-  EXPECT_LE(batch[0].partitions_scanned, stats.n_partitions + 1);
+  EXPECT_LE(batch[0].explain.partitions_scanned, stats.n_partitions + 1);
 }
 
 TEST_F(DbTest, MaintainFlushesDelta) {

@@ -226,9 +226,9 @@ TEST_F(HybridTest, OptimizerReportsEstimates) {
                                   AttributeValue::String("katmandu"));
   auto resp = db_->Search(req).value();
   // katmandu qualifies 8/4000 = 0.2%; F_IVF = 4 * 50 / 4000 = 5%.
-  EXPECT_EQ(resp.plan, QueryPlan::kPreFilter);
-  EXPECT_LT(resp.decision.filter_selectivity, 0.02);
-  EXPECT_NEAR(resp.decision.ivf_selectivity, 0.05, 0.001);
+  EXPECT_EQ(resp.explain.plan, QueryPlan::kPreFilter);
+  EXPECT_LT(resp.explain.decision.filter_selectivity, 0.02);
+  EXPECT_NEAR(resp.explain.decision.ivf_selectivity, 0.05, 0.001);
 }
 
 TEST_F(HybridTest, ExplainSurfacesPlanAndCounters) {
@@ -241,11 +241,7 @@ TEST_F(HybridTest, ExplainSurfacesPlanAndCounters) {
   // katmandu is selective: optimizer picks pre-filter, explain agrees.
   EXPECT_EQ(resp.explain.plan, QueryPlan::kPreFilter);
   EXPECT_TRUE(resp.explain.optimized);
-  EXPECT_EQ(resp.explain.decision.filter_selectivity,
-            resp.decision.filter_selectivity);
   EXPECT_EQ(resp.explain.candidates, kN / 500);
-  EXPECT_EQ(resp.explain.partitions_scanned, resp.partitions_scanned);
-  EXPECT_EQ(resp.explain.rows_scanned, resp.rows_scanned);
   EXPECT_EQ(resp.explain.group_size, 1u);
   EXPECT_FALSE(resp.explain.shared_scan);
   const std::string text = resp.explain.ToString();
@@ -259,7 +255,7 @@ TEST_F(HybridTest, ExplainSurfacesPlanAndCounters) {
   plain.query.assign(ds_.query(6), ds_.query(6) + kDim);
   plain.k = 5;
   auto plain_resp = db_->Search(plain).value();
-  EXPECT_EQ(plain_resp.plan, QueryPlan::kUnfiltered);
+  EXPECT_EQ(plain_resp.explain.plan, QueryPlan::kUnfiltered);
   EXPECT_FALSE(plain_resp.explain.optimized);
   EXPECT_EQ(plain_resp.explain.nprobe, 4u);  // default_nprobe
   EXPECT_EQ(plain_resp.explain.probe_pairs, 4u);
@@ -267,7 +263,7 @@ TEST_F(HybridTest, ExplainSurfacesPlanAndCounters) {
   SearchRequest exact = plain;
   exact.exact = true;
   auto exact_resp = db_->Search(exact).value();
-  EXPECT_EQ(exact_resp.plan, QueryPlan::kExact);
+  EXPECT_EQ(exact_resp.explain.plan, QueryPlan::kExact);
   EXPECT_EQ(exact_resp.explain.rows_scanned, kN);
 }
 
@@ -314,15 +310,18 @@ TEST_F(HybridTest, BatchOfHybridQueriesMatchesSingle) {
       EXPECT_EQ(batched[q].items[i].distance, single.items[i].distance)
           << "q=" << q << " i=" << i;
     }
-    EXPECT_EQ(batched[q].plan, single.plan) << q;
-    EXPECT_EQ(batched[q].partitions_scanned, single.partitions_scanned) << q;
-    EXPECT_EQ(batched[q].rows_scanned, single.rows_scanned) << q;
-    EXPECT_EQ(batched[q].rows_filtered, single.rows_filtered) << q;
+    EXPECT_EQ(batched[q].explain.plan, single.explain.plan) << q;
+    EXPECT_EQ(batched[q].explain.partitions_scanned,
+              single.explain.partitions_scanned) << q;
+    EXPECT_EQ(batched[q].explain.rows_scanned, single.explain.rows_scanned)
+        << q;
+    EXPECT_EQ(batched[q].explain.rows_filtered, single.explain.rows_filtered)
+        << q;
   }
-  EXPECT_EQ(batched[0].plan, QueryPlan::kPreFilter);
-  EXPECT_EQ(batched[1].plan, QueryPlan::kPostFilter);
-  EXPECT_EQ(batched[3].plan, QueryPlan::kPostFilter);
-  EXPECT_EQ(batched[4].plan, QueryPlan::kUnfiltered);
+  EXPECT_EQ(batched[0].explain.plan, QueryPlan::kPreFilter);
+  EXPECT_EQ(batched[1].explain.plan, QueryPlan::kPostFilter);
+  EXPECT_EQ(batched[3].explain.plan, QueryPlan::kPostFilter);
+  EXPECT_EQ(batched[4].explain.plan, QueryPlan::kUnfiltered);
 }
 
 TEST_F(HybridTest, HybridSearchAfterMaintain) {

@@ -767,8 +767,8 @@ class ColdCacheParityTest : public TempDir {
           out.ids.push_back(item.vid);
           out.distances.push_back(item.distance);
         }
-        out.counters.push_back(resp.rows_scanned);
-        out.counters.push_back(resp.partitions_scanned);
+        out.counters.push_back(resp.explain.rows_scanned);
+        out.counters.push_back(resp.explain.partitions_scanned);
       }
     }
     out.io = db->io_stats().Snapshot() - before;

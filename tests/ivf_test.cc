@@ -304,7 +304,7 @@ class IvfSearchTest : public ::testing::Test {
         .sq8params = std::nullopt,
         .attributes = std::nullopt});
     Result<std::vector<PlanResult>> results =
-        executor.Execute({plan}, nullptr);
+        executor.Execute({plan});
     EXPECT_TRUE(results.ok()) << results.status().ToString();
     if (!results.ok()) return PlanResult{};
     return std::move((*results)[0]);
@@ -357,7 +357,7 @@ TEST_F(IvfSearchTest, AnnPlanFindsNearestAndDelta) {
   // The delta vector is an exact match: distance 0, ranked first.
   EXPECT_EQ(r.neighbors[0].id, 999u);
   EXPECT_FLOAT_EQ(r.neighbors[0].distance, 0.f);
-  EXPECT_EQ(r.counters.partitions_scanned, 2u);  // 1 probe + delta
+  EXPECT_EQ(r.explain.partitions_scanned, 2u);  // 1 probe + delta
 }
 
 TEST_F(IvfSearchTest, RecallImprovesWithNprobe) {
@@ -389,7 +389,7 @@ TEST_F(IvfSearchTest, FilterDropsRowsBeforeHeap) {
   for (const Neighbor& n : r.neighbors) {
     EXPECT_EQ(n.id % 2, 0u);
   }
-  EXPECT_GT(r.counters.rows_filtered, 0u);
+  EXPECT_GT(r.explain.rows_filtered, 0u);
 }
 
 TEST_F(IvfSearchTest, SearchByVidsIsExactOverSubset) {

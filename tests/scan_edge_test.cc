@@ -161,7 +161,7 @@ TEST_F(ScanEdgeTest, ExactPlanKLargerThanCollection) {
       .sq8 = std::nullopt,
       .sq8params = std::nullopt,
       .attributes = std::nullopt});
-  auto result = executor.Execute({plan}, nullptr).value();
+  auto result = executor.Execute({plan}).value();
   ASSERT_EQ(result[0].neighbors.size(), 3u);
   EXPECT_EQ(result[0].neighbors[0].id, 1u);  // closest to 0
   engine_->Rollback(std::move(txn));

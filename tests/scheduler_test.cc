@@ -112,13 +112,16 @@ class SchedulerTest : public ::testing::Test {
       EXPECT_EQ(got.items[i].distance, want.items[i].distance)
           << "q=" << q << " " << i;
     }
-    EXPECT_EQ(got.plan, want.plan) << "q=" << q;
-    EXPECT_EQ(got.decision.plan, want.decision.plan) << "q=" << q;
+    EXPECT_EQ(got.explain.plan, want.explain.plan) << "q=" << q;
+    EXPECT_EQ(got.explain.decision.plan, want.explain.decision.plan)
+        << "q=" << q;
     // True per-query counters are independent of how the group was
     // assembled around the query.
-    EXPECT_EQ(got.partitions_scanned, want.partitions_scanned) << "q=" << q;
-    EXPECT_EQ(got.rows_scanned, want.rows_scanned) << "q=" << q;
-    EXPECT_EQ(got.rows_filtered, want.rows_filtered) << "q=" << q;
+    EXPECT_EQ(got.explain.partitions_scanned, want.explain.partitions_scanned)
+        << "q=" << q;
+    EXPECT_EQ(got.explain.rows_scanned, want.explain.rows_scanned) << "q=" << q;
+    EXPECT_EQ(got.explain.rows_filtered, want.explain.rows_filtered)
+        << "q=" << q;
     EXPECT_EQ(got.explain.probe_pairs, want.explain.probe_pairs) << "q=" << q;
     EXPECT_EQ(got.explain.quantized, want.explain.quantized) << "q=" << q;
     EXPECT_EQ(got.explain.rerank_candidates, want.explain.rerank_candidates)

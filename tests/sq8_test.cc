@@ -25,6 +25,7 @@
 #include "query/predicate.h"
 #include "storage/btree.h"
 #include "storage/key_encoding.h"
+#include "support/explain_invariants.h"
 #include "support/sq8_sidecar_check.h"
 
 namespace micronn {
@@ -421,6 +422,7 @@ class Sq8DbTest : public ::testing::Test {
       Result<SearchResponse> resp = db->Search(req);
       EXPECT_TRUE(resp.ok()) << resp.status().ToString();
       if (!resp.ok()) continue;
+      ExpectExplainInvariants(req, *resp);
       EXPECT_TRUE(resp->explain.quantized);
 
       auto txn = db->engine()->BeginRead().value();
@@ -588,10 +590,12 @@ TEST_F(Sq8DbTest, RecallParityWithFloatPath) {
 
       req.quantized = false;
       auto float_resp = db->Search(req).value();
+      ExpectExplainInvariants(req, float_resp);
       EXPECT_FALSE(float_resp.explain.quantized);
 
       req.quantized = true;
       auto sq8_resp = db->Search(req).value();
+      ExpectExplainInvariants(req, sq8_resp);
       EXPECT_TRUE(sq8_resp.explain.quantized);
       EXPECT_GT(sq8_resp.explain.rerank_candidates, 0u);
 
@@ -634,6 +638,7 @@ TEST_F(Sq8DbTest, ExplainReportsRerankCounters) {
   // Pre-build: no params anywhere, so a quantized plan degenerates to the
   // float path (no rerank reads) but still answers from the delta store.
   auto resp = db->Search(req).value();
+  ExpectExplainInvariants(req, resp);
   EXPECT_FALSE(resp.explain.quantized);
   EXPECT_EQ(resp.explain.partitions_quantized, 0u);
   EXPECT_EQ(resp.explain.rows_reranked, 0u);
@@ -641,9 +646,10 @@ TEST_F(Sq8DbTest, ExplainReportsRerankCounters) {
 
   ASSERT_TRUE(db->BuildIndex().ok());
   resp = db->Search(req).value();
+  ExpectExplainInvariants(req, resp);
   EXPECT_TRUE(resp.explain.quantized);
   EXPECT_GT(resp.explain.partitions_quantized, 0u);
-  EXPECT_EQ(resp.explain.rerank_budget, 40u);  // k * alpha (4.0 default)
+  EXPECT_EQ(resp.explain.rerank_budget, 40u);  // k * kSq8RerankAlpha
   EXPECT_GT(resp.explain.rerank_candidates, 0u);
   EXPECT_LE(resp.explain.rerank_candidates, resp.explain.rerank_budget);
   // The error bound drops candidates that cannot reach the top-k before
@@ -656,14 +662,18 @@ TEST_F(Sq8DbTest, ExplainReportsRerankCounters) {
   // The per-request opt-out wins over the DB default.
   req.quantized = false;
   resp = db->Search(req).value();
+  ExpectExplainInvariants(req, resp);
   EXPECT_FALSE(resp.explain.quantized);
   EXPECT_EQ(resp.explain.rows_reranked, 0u);
 
-  // Exact plans never use the quantized path.
-  req.quantized = std::nullopt;
+  // Requests are quantized by default, and exact plans never use the
+  // quantized path.
+  EXPECT_TRUE(SearchRequest{}.quantized);
+  req.quantized = true;
   req.exact = true;
   resp = db->Search(req).value();
-  EXPECT_EQ(resp.plan, QueryPlan::kExact);
+  ExpectExplainInvariants(req, resp);
+  EXPECT_EQ(resp.explain.plan, QueryPlan::kExact);
   EXPECT_FALSE(resp.explain.quantized);
 }
 
@@ -704,8 +714,10 @@ TEST_F(Sq8DbTest, QuantizedBatchMatchesSequential) {
 
   auto batch = db->BatchSearch(requests).value();
   ASSERT_EQ(batch.size(), requests.size());
+  ExpectExplainInvariants(requests, batch);
   for (size_t q = 0; q < requests.size(); ++q) {
     auto single = db->Search(requests[q]).value();
+    ExpectExplainInvariants(requests[q], single);
     ASSERT_EQ(batch[q].items.size(), single.items.size()) << "query " << q;
     for (size_t i = 0; i < single.items.size(); ++i) {
       EXPECT_EQ(batch[q].items[i].vid, single.items[i].vid)
@@ -713,7 +725,8 @@ TEST_F(Sq8DbTest, QuantizedBatchMatchesSequential) {
       EXPECT_EQ(batch[q].items[i].distance, single.items[i].distance)
           << "query " << q << " rank " << i;
     }
-    EXPECT_EQ(batch[q].rows_filtered, single.rows_filtered) << "query " << q;
+    EXPECT_EQ(batch[q].explain.rows_filtered, single.explain.rows_filtered)
+        << "query " << q;
     EXPECT_EQ(batch[q].explain.quantized, single.explain.quantized)
         << "query " << q;
   }
@@ -752,11 +765,11 @@ TEST_F(Sq8DbTest, DuplicateBatchFiltersShareEvaluation) {
   // group-level rows_scanned equals one query's surviving rows, not six
   // times that.
   const uint64_t group_rows = batch[0].explain.group_rows_scanned;
-  const uint64_t per_query_rows = batch[0].rows_scanned;
+  const uint64_t per_query_rows = batch[0].explain.rows_scanned;
   EXPECT_EQ(group_rows, per_query_rows);
   for (const auto& resp : batch) {
     EXPECT_TRUE(resp.explain.shared_scan);
-    EXPECT_EQ(resp.rows_scanned, per_query_rows);
+    EXPECT_EQ(resp.explain.rows_scanned, per_query_rows);
   }
 }
 
@@ -831,7 +844,8 @@ TEST_F(Sq8DbTest, ResultsCarryTheirScanLocation) {
         Result<SearchResponse> searched = db->Search(req);
         ASSERT_TRUE(searched.ok()) << searched.status().ToString();
         const SearchResponse& resp = *searched;
-        ASSERT_EQ(resp.plan, c.plan);
+        ExpectExplainInvariants(req, resp);
+        ASSERT_EQ(resp.explain.plan, c.plan);
         ASSERT_EQ(resp.items.size(), req.k);
 
         auto txn = db->engine()->BeginRead().value();
@@ -891,7 +905,7 @@ TEST_F(Sq8DbTest, ResultsCarryTheirScanLocation) {
             .sq8params = txn->OpenTable(kSq8ParamsTable).value(),
             .attributes = txn->OpenTable(kAttributesTable).value()});
         Result<std::vector<PlanResult>> results =
-            executor.Execute(plans, nullptr);
+            executor.Execute(plans);
         ASSERT_TRUE(results.ok()) << results.status().ToString();
         const std::vector<Neighbor>& got = (*results)[0].neighbors;
         ASSERT_EQ(got.size(), resp.items.size());
