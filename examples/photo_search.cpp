@@ -96,9 +96,10 @@ int main(int argc, char** argv) {
   };
   const Scenario scenarios[] = {
       {"unfiltered", std::nullopt},
-      {"location = paris (selective: optimizer -> pre-filter)",
+      // 5% of the shots; est_ivf = nprobe * 100 / |R| is 6%.
+      {"location = tokyo (selective: optimizer -> pre-filter)",
        Predicate::Compare("location", CompareOp::kEq,
-                          AttributeValue::String("paris"))},
+                          AttributeValue::String("tokyo"))},
       {"location = seattle (broad: optimizer -> post-filter)",
        Predicate::Compare("location", CompareOp::kEq,
                           AttributeValue::String("seattle"))},

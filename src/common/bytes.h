@@ -83,8 +83,10 @@ inline bool GetLengthPrefixed(const char** p, const char* limit,
   return true;
 }
 
-/// FNV-1a 64-bit hash, used for page/WAL checksums. Not cryptographic;
-/// detects torn writes and corruption, which is all the WAL needs.
+/// FNV-1a 64-bit hash: the checksum of WAL formats v2/v3, kept only to
+/// recover logs an older build wrote (their file headers and "WNNM"
+/// frames). Byte-serial and ~30x slower than CRC32C (common/crc32c.h),
+/// which checksums everything written today.
 inline uint64_t Hash64(const void* data, size_t n, uint64_t seed = 0) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint64_t h = 14695981039346656037ULL ^ seed;

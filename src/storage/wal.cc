@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "common/bytes.h"
+#include "common/crc32c.h"
 #include "common/logging.h"
 
 namespace micronn {
@@ -21,12 +22,27 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == Wal::kFrameHeaderSize);
 
+// Format v4 frame checksum: CRC32C over the header bytes before the
+// checksum field, extended over the page image. Stored zero-extended in
+// the 64-bit field; verification compares all 64 bits.
 uint64_t FrameChecksum(const FrameHeader& h, const void* page_bytes) {
-  uint64_t seed = Hash64(&h, offsetof(FrameHeader, checksum));
-  return Hash64(page_bytes, kPageSize, seed);
+  return Crc32cExtend(Crc32c(&h, offsetof(FrameHeader, checksum)),
+                      page_bytes, kPageSize);
 }
 
-// On-disk WAL file header, format v3 (first kHeaderSize bytes,
+// Whether a frame's checksum holds under the algorithm its magic names:
+// CRC32C for v4 frames, FNV-1a for v2/v3 frames (which only a log an
+// older build wrote can hold). Any other magic fails.
+bool FrameIntact(const FrameHeader& h, const void* page_bytes) {
+  if (h.magic == Wal::kFrameMagic) {
+    return h.checksum == FrameChecksum(h, page_bytes);
+  }
+  return h.magic == Wal::kFrameMagicV3 &&
+         h.checksum == Hash64(page_bytes, kPageSize,
+                              Hash64(&h, offsetof(FrameHeader, checksum)));
+}
+
+// On-disk WAL file header, formats v3 and v4 (first kHeaderSize bytes,
 // zero-padded).
 struct WalFileHeader {
   uint32_t magic;
@@ -35,7 +51,7 @@ struct WalFileHeader {
   uint64_t backfill_seq;
   uint32_t epoch;
   uint32_t reserved;
-  uint64_t checksum;  // Hash64 over the fields above
+  uint64_t checksum;  // over the fields above: see HeaderChecksum
 };
 static_assert(sizeof(WalFileHeader) <= Wal::kHeaderSize);
 
@@ -50,8 +66,10 @@ struct WalFileHeaderV2 {
 };
 static_assert(sizeof(WalFileHeaderV2) <= Wal::kHeaderSize);
 
+// v4: CRC32C, zero-extended like the frame checksum; v3: Hash64.
 uint64_t HeaderChecksum(const WalFileHeader& h) {
-  return Hash64(&h, offsetof(WalFileHeader, checksum));
+  const size_t n = offsetof(WalFileHeader, checksum);
+  return h.version == 3 ? Hash64(&h, n) : Crc32c(&h, n);
 }
 
 uint64_t HeaderChecksumV2(const WalFileHeaderV2& h) {
@@ -72,8 +90,7 @@ Status VerifyFrameImage(const uint8_t* frame, uint64_t frame_no,
                         const PageId* expect_page) {
   FrameHeader h;
   std::memcpy(&h, frame, sizeof(h));
-  if (h.magic != Wal::kFrameMagic ||
-      h.checksum != FrameChecksum(h, frame + Wal::kFrameHeaderSize)) {
+  if (!FrameIntact(h, frame + Wal::kFrameHeaderSize)) {
     return Status::Corruption("WAL frame " + std::to_string(frame_no) +
                               " failed checksum verification");
   }
@@ -139,7 +156,8 @@ Status Wal::Recover() {
     std::memcpy(&h, raw, sizeof(h));
     WalFileHeaderV2 h2;
     std::memcpy(&h2, raw, sizeof(h2));
-    if (h.magic == kWalMagic && h.version == kFormatVersion &&
+    if (h.magic == kWalMagic &&
+        (h.version == kFormatVersion || h.version == 3) &&
         h.checksum == HeaderChecksum(h)) {
       watermark = h.backfill_watermark;
       watermark_seq = h.backfill_seq;
@@ -154,7 +172,7 @@ Status Wal::Recover() {
       watermark_seq = h2.backfill_seq;
       live_epoch = 0;
       have_epoch = true;
-    } else if (h.magic == kFrameMagic) {
+    } else if (h.magic == kFrameMagicV3) {
       // Format v1 had no file header: the file starts directly with a
       // frame. Parsing it at the v2+ offsets would mis-checksum every
       // frame and silently truncate committed transactions — refuse
@@ -183,6 +201,7 @@ Status Wal::Recover() {
   std::vector<std::pair<PageId, uint64_t>> pending;  // frames of current txn
   uint64_t pending_seq = 0;
   bool stale_cut = false;
+  bool seen_v4 = false;
   FrameHeader header;
   Page page;
   for (uint64_t f = 0; f < total_frames; ++f) {
@@ -191,10 +210,15 @@ Status Wal::Recover() {
     if (!st.ok()) break;
     st = file_->ReadAt(off + kFrameHeaderSize, page.bytes(), kPageSize);
     if (!st.ok()) break;
-    if (header.magic != kFrameMagic ||
-        header.checksum != FrameChecksum(header, page.bytes())) {
+    // The checksum follows each frame's own magic, never the header's
+    // version: a v3 log's live frames stay valid after a checkpoint has
+    // rewritten the header as v4, and a torn header names no version.
+    // Frames an older build wrote only ever precede this build's.
+    if ((header.magic == kFrameMagicV3 && seen_v4) ||
+        !FrameIntact(header, page.bytes())) {
       break;  // torn tail: discard this frame and everything after it
     }
+    seen_v4 = seen_v4 || header.magic == kFrameMagic;
     if (!have_epoch) {
       live_epoch = header.epoch;  // slot 1 anchors the live generation
       have_epoch = true;

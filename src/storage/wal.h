@@ -23,6 +23,11 @@
 //     epoch of its generation; recovery accepts only frames of the live
 //     epoch, so stale survivors of the previous generation past the new
 //     head are never stitched into history.
+// Format v4 checksums frames and the file header with CRC32C instead of
+// the byte-serial FNV-1a of v2/v3. Every frame names its own format by
+// its magic, so a log an older build left with live frames keeps
+// recovering frame by frame, whatever version a later header rewrite
+// stamps.
 // See docs/ARCHITECTURE.md for the full frame lifecycle and
 // docs/DURABILITY.md for the crash-ordering rules.
 #ifndef MICRONN_STORAGE_WAL_H_
@@ -77,12 +82,17 @@ class Wal {
   /// under the new head.
   static constexpr size_t kHeaderSize = 64;
   static constexpr uint32_t kWalMagic = 0x4C41574D;  // "MWAL"
-  static constexpr uint32_t kFormatVersion = 3;
+  static constexpr uint32_t kFormatVersion = 4;
 
-  /// Frame layout: 32-byte header + page image.
+  /// Frame layout: 32-byte header + page image. The magic selects the
+  /// checksum: kFrameMagic frames (the only kind this build writes) carry
+  /// a CRC32C of header-before-checksum + page, zero-extended to 64 bits;
+  /// kFrameMagicV3 frames, found only in logs an older build wrote, carry
+  /// FNV-1a Hash64.
   static constexpr size_t kFrameHeaderSize = 32;
   static constexpr size_t kFrameSize = kFrameHeaderSize + kPageSize;
-  static constexpr uint32_t kFrameMagic = 0x4D4E4E57;  // "WNNM"
+  static constexpr uint32_t kFrameMagic = 0x344E4E57;    // "WNN4"
+  static constexpr uint32_t kFrameMagicV3 = 0x4D4E4E57;  // "WNNM"
 
   /// How AppendCommit materializes a commit's frames.
   enum class AppendMode {
@@ -97,7 +107,7 @@ class Wal {
   /// at-or-below the persisted backfill watermark are scanned (their
   /// commit chain still validates the log) but not indexed — their content
   /// already lives in the main database file. Format v2 files (pre-epoch)
-  /// open seamlessly as epoch 0.
+  /// open seamlessly as epoch 0, and v2/v3 frames verify by their magic.
   static Result<std::unique_ptr<Wal>> Open(const std::string& path,
                                            IoStats* stats);
 
