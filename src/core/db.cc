@@ -186,8 +186,9 @@ Status DB::Upsert(const std::vector<UpsertRequest>& batch) {
   MICRONN_ASSIGN_OR_RETURN(
       std::optional<Sq8PartitionParams> delta_params,
       GetSq8Params(&sq8params, kDeltaPartition, options_.dim));
-  // The params' max_error must cover every code row written below; the
-  // row is rewritten once, at the end, only if a new row raised it.
+  // The params' max_error must cover every unclamped code row written
+  // below; the row is rewritten once, at the end, only if a new row raised
+  // it. A clamped row is flagged instead, and the rerank re-reads it.
   const float stored_delta_error =
       delta_params.has_value() ? delta_params->max_error : 0.f;
   std::vector<uint8_t> sq8_codes(options_.dim);
@@ -264,17 +265,20 @@ Status DB::Upsert(const std::vector<UpsertRequest>& batch) {
         VectorKey(kDeltaPartition, vid),
         EncodeVectorRow(req.asset_id, vec.data(), vec.size())));
     if (delta_params.has_value()) {
-      QuantizeSq8(vec.data(), delta_params->min.data(),
-                  delta_params->scale.data(), options_.dim,
-                  sq8_codes.data());
-      delta_params->max_error = std::max(
-          delta_params->max_error,
-          Sq8ReconstructionError(vec.data(), sq8_codes.data(),
-                                 delta_params->min.data(),
-                                 delta_params->scale.data(), options_.dim));
+      const bool clamped =
+          QuantizeSq8(vec.data(), delta_params->min.data(),
+                      delta_params->scale.data(), options_.dim,
+                      sq8_codes.data()) > 0;
+      if (!clamped) {
+        delta_params->max_error = std::max(
+            delta_params->max_error,
+            Sq8ReconstructionError(vec.data(), sq8_codes.data(),
+                                   delta_params->min.data(),
+                                   delta_params->scale.data(), options_.dim));
+      }
       MICRONN_RETURN_IF_ERROR(
           sq8.Put(VectorKey(kDeltaPartition, vid),
-                  EncodeSq8Row(sq8_codes.data(), options_.dim)));
+                  EncodeSq8Row(sq8_codes.data(), options_.dim, clamped)));
       txn->AddRowDelta(kSq8Table, 1);
     }
     MICRONN_RETURN_IF_ERROR(vidmap.Put(

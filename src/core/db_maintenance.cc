@@ -552,9 +552,9 @@ Result<MaintenanceReport> DB::MaintainLocked() {
                                       chunk.block.data() + i * dim, dim)));
       MICRONN_RETURN_IF_ERROR(
           vidmap.Put(key::U64(vid), EncodeVidMapValue(partition)));
-      // Re-quantize the moved row with its destination's parameters
-      // (values outside the partition's box saturate; the rerank stage
-      // re-scores at full precision).
+      // Re-quantize the moved row with its destination's parameters.
+      // Values outside the partition's box saturate: such a row is flagged
+      // and leaves max_error alone, and the rerank always re-reads it.
       MICRONN_ASSIGN_OR_RETURN(bool sq8_erased,
                                sq8.Delete(VectorKey(kDeltaPartition, vid)));
       if (sq8_erased) txn->AddRowDelta(kSq8Table, -1);
@@ -568,20 +568,23 @@ Result<MaintenanceReport> DB::MaintainLocked() {
         Sq8PartitionParams& params = *sp->second;
         const float* v = chunk.block.data() + i * dim;
         const size_t saturated =
-            QuantizeSq8Saturating(v, params.min.data(), params.scale.data(),
-                                  dim, sq8_codes.data());
-        const float error =
-            Sq8ReconstructionError(v, sq8_codes.data(), params.min.data(),
-                                   params.scale.data(), dim);
-        if (error > params.max_error) {
-          params.max_error = error;
-          raised.insert(partition);
+            QuantizeSq8(v, params.min.data(), params.scale.data(), dim,
+                        sq8_codes.data());
+        if (saturated == 0) {
+          const float error =
+              Sq8ReconstructionError(v, sq8_codes.data(), params.min.data(),
+                                     params.scale.data(), dim);
+          if (error > params.max_error) {
+            params.max_error = error;
+            raised.insert(partition);
+          }
         }
         SaturationCount& sat = saturation[partition];
         sat.saturated += saturated;
         sat.total += dim;
-        MICRONN_RETURN_IF_ERROR(sq8.Put(VectorKey(partition, vid),
-                                        EncodeSq8Row(sq8_codes.data(), dim)));
+        MICRONN_RETURN_IF_ERROR(
+            sq8.Put(VectorKey(partition, vid),
+                    EncodeSq8Row(sq8_codes.data(), dim, saturated > 0)));
         txn->AddRowDelta(kSq8Table, 1);
       }
       auto& [sum, cnt] = updates[row];

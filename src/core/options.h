@@ -63,11 +63,14 @@ struct DbOptions {
   // SearchRequest::quantized.
   /// SQ8 drift requantization: delta flushes quantize moved rows with
   /// their destination partition's existing (possibly stale) bounds;
-  /// codes that fall outside the box saturate. Maintain() tracks the
+  /// codes that fall outside the box saturate, and such a row is flagged
+  /// clamped (it leaves the partition's error bound alone, and every
+  /// rerank that ranks it re-reads it). Maintain() tracks the
   /// per-partition saturated-code ratio of each flush and requantizes a
-  /// partition in place (fresh bounds + rewritten sidecar rows) when the
-  /// ratio exceeds this threshold. <= 0 disables drift requantization
-  /// (stale bounds then persist until the next full rebuild).
+  /// partition in place (fresh bounds + rewritten sidecar rows, which
+  /// clears the flags) when the ratio exceeds this threshold. <= 0
+  /// disables drift requantization (stale bounds and flagged rows then
+  /// persist until the next full rebuild).
   double sq8_requantize_saturation = 0.10;
 
   // --- Maintenance (paper §3.6) ---

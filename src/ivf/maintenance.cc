@@ -105,8 +105,9 @@ Result<uint64_t> RequantizePartition(BTree vectors, BTree sq8,
   Sq8PartitionParams params = FinalizeSq8Params(bounds);
   if (global_bounds != nullptr) global_bounds->Union(bounds);
 
-  // Pass B: quantize every row, write its sq8 sidecar row and fold its
-  // reconstruction error into the params' max_error.
+  // Pass B: quantize every row, write its sq8 sidecar row and fold the
+  // reconstruction error of every row that did not clamp into the params'
+  // max_error. Bounds fitted to the rows clamp only non-finite values.
   uint64_t rows = 0;
   std::vector<uint8_t> codes(dim);
   MICRONN_RETURN_IF_ERROR(ScanPartition(
@@ -114,15 +115,18 @@ Result<uint64_t> RequantizePartition(BTree vectors, BTree sq8,
       [&](const ScanBlock& block) -> Status {
         for (size_t r = 0; r < block.count; ++r) {
           const float* v = block.data + r * dim;
-          QuantizeSq8(v, params.min.data(), params.scale.data(), dim,
-                      codes.data());
-          params.max_error = std::max(
-              params.max_error,
-              Sq8ReconstructionError(v, codes.data(), params.min.data(),
-                                     params.scale.data(), dim));
+          const bool clamped = QuantizeSq8(v, params.min.data(),
+                                           params.scale.data(), dim,
+                                           codes.data()) > 0;
+          if (!clamped) {
+            params.max_error = std::max(
+                params.max_error,
+                Sq8ReconstructionError(v, codes.data(), params.min.data(),
+                                       params.scale.data(), dim));
+          }
           MICRONN_RETURN_IF_ERROR(
               sq8.Put(VectorKey(partition, block.vids[r]),
-                      EncodeSq8Row(codes.data(), dim)));
+                      EncodeSq8Row(codes.data(), dim, clamped)));
           ++rows;
         }
         return Status::OK();

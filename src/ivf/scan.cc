@@ -140,7 +140,8 @@ Status ScanPartition(BTree vectors, uint32_t partition, uint32_t dim,
 
 Status ScanPartitionSq8(BTree sq8, uint32_t partition, uint32_t dim,
                         const RowFilter& filter, const Sq8BlockCallback& cb,
-                        ScanCounters* counters) {
+                        ScanCounters* counters,
+                        std::vector<uint64_t>* clamped) {
   std::string prefix = PartitionPrefix(partition);
   BTreeCursor cursor = sq8.NewCursor();
   MICRONN_RETURN_IF_ERROR(cursor.Seek(prefix));
@@ -158,9 +159,9 @@ Status ScanPartitionSq8(BTree sq8, uint32_t partition, uint32_t dim,
   MICRONN_RETURN_IF_ERROR(ScanRows(
       &cursor, filter, counters, PartitionRange(std::move(prefix)),
       [&](uint32_t partition, uint64_t vid, std::string_view value) -> Status {
-        MICRONN_ASSIGN_OR_RETURN(const uint8_t* codes,
-                                 DecodeSq8Row(value, dim));
-        return blocks.Append(partition, vid, codes);
+        MICRONN_ASSIGN_OR_RETURN(const Sq8Row row, DecodeSq8Row(value, dim));
+        if (row.clamped) clamped->push_back(vid);
+        return blocks.Append(partition, vid, row.codes);
       }));
   return blocks.Flush();
 }

@@ -39,7 +39,7 @@ struct ScanBlock {
 using BlockCallback = std::function<Status(const ScanBlock&)>;
 
 /// One decoded block of quantized partition rows (row i at
-/// codes + i * dim; dim bytes per row).
+/// codes + i * dim; dim code bytes per row, the clamp flag stripped).
 struct Sq8ScanBlock {
   const uint64_t* vids = nullptr;
   const uint8_t* codes = nullptr;
@@ -70,12 +70,15 @@ Status ScanPartition(BTree vectors, uint32_t partition, uint32_t dim,
                      ScanCounters* counters);
 
 /// Scans partition `partition` of the `vectors#sq8` sidecar table: rows are
-/// raw dim-byte code strings, assembled into int8 blocks with no
-/// per-row float decode or marshalling. The filter (optional) is applied
-/// before block assembly, same as the float scan.
+/// dim code bytes and a clamp flag (DecodeSq8Row), assembled into int8
+/// blocks with no per-row float decode or marshalling. The filter
+/// (optional) is applied before block assembly, same as the float scan.
+/// The vid of every assembled row whose clamp flag is set is appended to
+/// `*clamped`.
 Status ScanPartitionSq8(BTree sq8, uint32_t partition, uint32_t dim,
                         const RowFilter& filter, const Sq8BlockCallback& cb,
-                        ScanCounters* counters);
+                        ScanCounters* counters,
+                        std::vector<uint64_t>* clamped);
 
 /// Appends to `*out` the ids of every leaf page that may hold rows of
 /// `partition` in `table` (the vectors table or its sq8 sidecar — both are

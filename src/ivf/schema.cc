@@ -127,15 +127,23 @@ Result<std::optional<Sq8PartitionParams>> GetSq8Params(BTree* sq8params,
   return params;
 }
 
-std::string EncodeSq8Row(const uint8_t* codes, size_t dim) {
-  return std::string(reinterpret_cast<const char*>(codes), dim);
+std::string EncodeSq8Row(const uint8_t* codes, size_t dim, bool clamped) {
+  std::string v(reinterpret_cast<const char*>(codes), dim);
+  v.push_back(clamped ? 1 : 0);
+  return v;
 }
 
-Result<const uint8_t*> DecodeSq8Row(std::string_view value, size_t dim) {
-  if (value.size() != dim) {
+Result<Sq8Row> DecodeSq8Row(std::string_view value, size_t dim) {
+  Sq8Row row;
+  row.codes = reinterpret_cast<const uint8_t*>(value.data());
+  if (value.size() == dim) return row;  // legacy: no flag byte
+  if (value.size() != dim + 1) {
     return Status::Corruption("sq8 row size mismatch");
   }
-  return reinterpret_cast<const uint8_t*>(value.data());
+  const uint8_t flag = static_cast<uint8_t>(value[dim]);
+  if (flag > 1) return Status::Corruption("sq8 row clamp flag is not 0 or 1");
+  row.clamped = flag == 1;
+  return row;
 }
 
 Result<uint64_t> MetaGetU64(BTree* meta, std::string_view key,

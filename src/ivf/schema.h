@@ -47,7 +47,8 @@ inline constexpr const char* kCentroidsTable = "centroids";
 inline constexpr const char* kAttributesTable = "attributes";
 inline constexpr const char* kMetaTable = "meta";
 /// SQ8 sidecar tables: `vectors#sq8` mirrors the vectors table key-for-key
-/// with int8 quantized rows (dim bytes per row, the quantized-scan column);
+/// with int8 quantized rows (dim code bytes and a clamp flag per row, the
+/// quantized-scan column);
 /// `sq8params` holds one per-partition parameter row (per-dim min/scale).
 /// Invariant: whenever sq8params has an entry for partition p, every row of
 /// p in `vectors` has a matching row in `vectors#sq8` — a partition without
@@ -134,9 +135,10 @@ struct Sq8PartitionParams {
   std::vector<float> min;    // dim entries
   std::vector<float> scale;  // dim entries, >= 0
   /// An upper bound on ||x - x_hat||_2 over every row of the partition's
-  /// `vectors#sq8` codes (x_hat its reconstruction). Every write of a code
-  /// row raises it in the same transaction; deletes never lower it. +inf
-  /// (a legacy row without the field) disables rerank pruning.
+  /// `vectors#sq8` codes whose clamp flag is clear (x_hat its
+  /// reconstruction). Every write of an unflagged code row raises it in the
+  /// same transaction; flagged rows and deletes never move it. +inf (a
+  /// legacy row without the field) disables rerank pruning.
   float max_error = std::numeric_limits<float>::infinity();
 };
 
@@ -152,11 +154,20 @@ Result<std::optional<Sq8PartitionParams>> GetSq8Params(BTree* sq8params,
                                                        uint32_t partition,
                                                        size_t dim);
 
-/// vectors#sq8 row payload: exactly dim code bytes (no header — the row's
-/// asset id lives in the full-precision row). Returns the code pointer, or
-/// Corruption on a size mismatch.
-std::string EncodeSq8Row(const uint8_t* codes, size_t dim);
-Result<const uint8_t*> DecodeSq8Row(std::string_view value, size_t dim);
+/// vectors#sq8 row payload: dim code bytes, then one flag byte, 1 when
+/// quantizing the row clamped (QuantizeSq8 returned nonzero) and 0
+/// otherwise. No header: the row's asset id lives in the full-precision
+/// row. A clamped row's reconstruction error is not covered by its
+/// partition's max_error, so the rerank always re-reads it.
+struct Sq8Row {
+  const uint8_t* codes = nullptr;  // dim bytes, borrowed from the value
+  bool clamped = false;
+};
+/// A legacy row of exactly dim bytes (written before the flag existed)
+/// decodes as not clamped: its writer raised max_error for every row. Any
+/// other size, or a flag byte above 1, is Corruption.
+std::string EncodeSq8Row(const uint8_t* codes, size_t dim, bool clamped);
+Result<Sq8Row> DecodeSq8Row(std::string_view value, size_t dim);
 
 // --- Meta accessors (operate on the meta table through any view) ---
 

@@ -226,7 +226,9 @@ Status ScanPartitionIntoHeaps(BTree vectors, uint32_t partition, Metric metric,
 Status ScanPartitionSq8IntoHeaps(BTree sq8, uint32_t partition, Metric metric,
                                  uint32_t dim, const float* min,
                                  const float* scale, HeapScanTarget* targets,
-                                 size_t n_targets, ScanCounters* scan_counters,
+                                 size_t n_targets,
+                                 std::vector<uint64_t>* clamped,
+                                 ScanCounters* scan_counters,
                                  const SharedFilterEval* shared_eval,
                                  size_t n_slots) {
   if (n_targets == 0) return Status::OK();
@@ -263,7 +265,7 @@ Status ScanPartitionSq8IntoHeaps(BTree sq8, uint32_t partition, Metric metric,
                        targets, n_targets);
           return Status::OK();
         },
-        &sc));
+        &sc, clamped));
     FoldSharedCounters(sc, targets, n_targets, scan_counters);
     return Status::OK();
   }
@@ -278,7 +280,7 @@ Status ScanPartitionSq8IntoHeaps(BTree sq8, uint32_t partition, Metric metric,
                                dist.data(), targets, n_targets, shared_eval,
                                verdicts.get());
       },
-      scan_counters);
+      scan_counters, clamped);
 }
 
 namespace {

@@ -76,12 +76,15 @@ Status ScanPartitionIntoHeaps(BTree vectors, uint32_t partition, Metric metric,
 /// arrays, dim entries each). Distances pushed into the heaps approximate
 /// the full-precision distances — callers size the heaps to k*alpha and
 /// re-score exactly the candidates that can still reach the top-k (the
-/// executor's rerank op). Filter semantics, counters, and shared
-/// evaluation match the float kernel.
+/// executor's rerank op). The vids of the scanned rows whose code row
+/// carries the clamp flag are appended to `*clamped`: their SQ8 distance
+/// has no error bound, so the rerank must always re-read them. Filter
+/// semantics, counters, and shared evaluation match the float kernel.
 Status ScanPartitionSq8IntoHeaps(BTree sq8, uint32_t partition, Metric metric,
                                  uint32_t dim, const float* min,
                                  const float* scale, HeapScanTarget* targets,
                                  size_t n_targets,
+                                 std::vector<uint64_t>* clamped,
                                  ScanCounters* scan_counters = nullptr,
                                  const SharedFilterEval* shared_eval = nullptr,
                                  size_t n_slots = 0);

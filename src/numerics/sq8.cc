@@ -36,19 +36,14 @@ bool CpuHasAvx2();
 
 }  // namespace internal
 
-void QuantizeSq8(const float* v, const float* min, const float* scale,
-                 size_t d, uint8_t* out) {
-  QuantizeSq8Saturating(v, min, scale, d, out);
-}
-
-size_t QuantizeSq8Saturating(const float* v, const float* min,
-                             const float* scale, size_t d, uint8_t* out) {
-  size_t saturated = 0;
+size_t QuantizeSq8(const float* v, const float* min, const float* scale,
+                   size_t d, uint8_t* out) {
+  size_t clamped = 0;
   for (size_t i = 0; i < d; ++i) {
     if (scale[i] <= 0.f) {
       out[i] = 0;
       // Constant dimension: representable iff the value equals the bound.
-      if (v[i] != min[i]) ++saturated;
+      if (v[i] != min[i]) ++clamped;
       continue;
     }
     const float code = std::round((v[i] - min[i]) / scale[i]);
@@ -56,15 +51,15 @@ size_t QuantizeSq8Saturating(const float* v, const float* min,
     // the float->int cast, which would be UB for an unrepresentable value.
     if (!(code > 0.f)) {
       out[i] = 0;
-      if (!(code >= 0.f)) ++saturated;  // below the box (or NaN)
+      if (!(code >= 0.f)) ++clamped;  // below the box (or NaN)
     } else if (code >= 255.f) {
       out[i] = 255;
-      if (code > 255.f) ++saturated;  // above the box
+      if (code > 255.f) ++clamped;  // above the box
     } else {
       out[i] = static_cast<uint8_t>(static_cast<int>(code));
     }
   }
-  return saturated;
+  return clamped;
 }
 
 void DequantizeSq8(const uint8_t* codes, const float* min, const float* scale,

@@ -11,11 +11,15 @@
 // precision, so quantization error never reaches reported distances.
 //
 // Every params row also stores its max reconstruction error
-// eps = max ||x - x_hat|| over the rows quantized with it. That bounds how
-// far a row's exact distance can sit from its SQ8 distance, so the rerank
-// re-reads only the candidates whose lower bound is within the k-th
-// smallest upper bound (SelectSq8RerankCandidates): the pruned rerank
-// returns exactly what reranking the whole pool would.
+// eps = max ||x - x_hat|| over the rows quantized with it that did not
+// clamp. That bounds how far such a row's exact distance can sit from its
+// SQ8 distance, so the rerank re-reads only the candidates whose lower
+// bound is within the k-th smallest upper bound
+// (SelectSq8RerankCandidates): the pruned rerank returns exactly what
+// reranking the whole pool would. A row that clamped (a streamed write
+// outside its partition's box) is flagged in its code row instead of
+// raising eps; the rerank gives it an unbounded error, so it is always
+// re-read.
 #ifndef MICRONN_NUMERICS_SQ8_H_
 #define MICRONN_NUMERICS_SQ8_H_
 
@@ -28,20 +32,16 @@
 
 namespace micronn {
 
-/// Quantizes `d` floats: out[i] = clamp(round((v[i] - min[i]) / scale[i])).
-/// Values outside [min, min + 255*scale] saturate — streamed updates that
-/// escape a partition's box degrade gracefully and the full-precision
-/// rerank corrects them. A zero scale (constant dimension) encodes 0.
-void QuantizeSq8(const float* v, const float* min, const float* scale,
-                 size_t d, uint8_t* out);
-
-/// QuantizeSq8, additionally counting the dimensions whose value fell
-/// outside the representable box (clamped below 0 / above 255, or a
-/// constant dimension fed a different value). Maintenance tracks this
-/// ratio per partition during delta flushes to detect parameter drift
+/// Quantizes `d` floats: out[i] = clamp(round((v[i] - min[i]) / scale[i])),
+/// and returns how many dimensions clamped: fell outside
+/// [min, min + 255*scale] (or, for a constant dimension with zero scale,
+/// differed from min; NaN counts too). A zero scale encodes 0. A row that
+/// clamps is still stored: its code row carries the clamp flag, it does not
+/// raise the params' max_error, and the rerank always re-reads it.
+/// Maintenance also sums the count per partition to detect parameter drift
 /// (DbOptions::sq8_requantize_saturation).
-size_t QuantizeSq8Saturating(const float* v, const float* min,
-                             const float* scale, size_t d, uint8_t* out);
+size_t QuantizeSq8(const float* v, const float* min, const float* scale,
+                   size_t d, uint8_t* out);
 
 /// Reconstructs `d` floats: out[i] = min[i] + scale[i] * codes[i].
 void DequantizeSq8(const uint8_t* codes, const float* min, const float* scale,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -221,6 +222,10 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
     PlanSlot& slot(const std::vector<PhysicalPlan>& plans, size_t idx) {
       return slots.try_emplace(idx, HeapK(plans[idx])).first->second;
     }
+    // Vids of the clamp-flagged code rows this worker's SQ8 scans scored:
+    // their SQ8 distances carry no error bound. A vid has one location in
+    // a snapshot, so the vid alone names the row.
+    std::vector<uint64_t> clamped;
     ScanCounters physical;  // rows decoded once per shared scan
     // Physical partition scans: a partition whose fan-in splits by
     // representation is scanned once per representation and counts twice,
@@ -316,8 +321,8 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
       Status qs = ScanPartitionSq8IntoHeaps(
           *ctx_.sq8, pw.partition, ctx_.metric, ctx_.dim,
           params->min.data(), params->scale.data(), s.targets.data(),
-          s.targets.size(), &ws.physical, s.eval ? &s.eval : nullptr,
-          s.n_slots);
+          s.targets.size(), &ws.clamped, &ws.physical,
+          s.eval ? &s.eval : nullptr, s.n_slots);
       if (!qs.ok() && qs.IsCorruption()) {
         // Quarantine: a corrupt SQ8 sidecar page fails this partition's
         // quantized scan. Rows decoded before the corruption came from
@@ -481,9 +486,11 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
   }
 
   // Phase 3: merge op — fold every worker's plan slots into the results,
-  // and its physical scans into the group counters.
+  // its physical scans into the group counters, and its clamped vids into
+  // one sorted list for the rerank.
   uint64_t group_partitions_scanned = 0;
   uint64_t group_rows_scanned = 0;
+  std::vector<uint64_t> clamped;  // sorted, for the rerank's lookups
   {
     std::unordered_map<size_t, TopKHeap> merged;
     merged.reserve(scan_plans.size());
@@ -505,7 +512,9 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
       }
       group_partitions_scanned += ws.physical_scans;
       group_rows_scanned += ws.physical.rows_scanned;
+      clamped.insert(clamped.end(), ws.clamped.begin(), ws.clamped.end());
     }
+    std::sort(clamped.begin(), clamped.end());
     for (const size_t idx : scan_plans) {
       results[idx].neighbors = merged.at(idx).TakeSorted();
     }
@@ -536,19 +545,25 @@ Result<std::vector<PlanResult>> QueryExecutor::Execute(
     ex.quantized = ex.partitions_quantized > 0;
     ex.rerank_candidates = r.neighbors.size();
     // A candidate's error is its partition's max_error, 0 when it was
-    // scored at full precision. No pruning after a quarantine: the
-    // partial quantized scan and its float re-scan may both hold a row.
+    // scored at full precision, and +inf when its code row is flagged
+    // clamped (max_error does not cover it, so it is always re-read).
+    std::vector<Sq8RerankCandidate> cands;
+    cands.reserve(r.neighbors.size());
+    for (const Neighbor& nb : r.neighbors) {
+      auto it = sq8_error_terms.find(nb.partition);
+      Sq8RerankCandidate c =
+          it != sq8_error_terms.end() ? it->second : Sq8RerankCandidate{};
+      c.approx = nb.distance;
+      if (std::binary_search(clamped.begin(), clamped.end(), nb.id)) {
+        c.max_error = std::numeric_limits<float>::infinity();
+        ++ex.rerank_flagged;
+      }
+      cands.push_back(c);
+    }
+    // No pruning after a quarantine: the partial quantized scan and its
+    // float re-scan may both hold a row.
     std::vector<bool> keep(r.neighbors.size(), true);
     if (ex.partitions_quarantined == 0) {
-      std::vector<Sq8RerankCandidate> cands;
-      cands.reserve(r.neighbors.size());
-      for (const Neighbor& nb : r.neighbors) {
-        auto it = sq8_error_terms.find(nb.partition);
-        Sq8RerankCandidate c =
-            it != sq8_error_terms.end() ? it->second : Sq8RerankCandidate{};
-        c.approx = nb.distance;
-        cands.push_back(c);
-      }
       SelectSq8RerankCandidates(ctx_.metric, plan.query.data(), ctx_.dim,
                                 cands, plan.k, &keep);
     }

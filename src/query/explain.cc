@@ -25,10 +25,12 @@ std::string QueryExplain::ToString() const {
   if (quantized) {
     len = std::snprintf(
         buf, sizeof(buf),
-        " sq8[partitions=%llu rerank=%llu/%u rows_reranked=%llu]",
+        " sq8[partitions=%llu rerank=%llu/%u rows_reranked=%llu "
+        "flagged=%llu]",
         static_cast<unsigned long long>(partitions_quantized),
         static_cast<unsigned long long>(rerank_candidates), rerank_budget,
-        static_cast<unsigned long long>(rows_reranked));
+        static_cast<unsigned long long>(rows_reranked),
+        static_cast<unsigned long long>(rerank_flagged));
     out.append(buf, len > 0 ? static_cast<size_t>(len) : 0);
   }
   if (partitions_quarantined > 0 || rows_quarantined > 0) {

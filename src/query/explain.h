@@ -62,6 +62,11 @@ struct QueryExplain {
   /// whose error-bounded distance can still reach the top-k, so
   /// min(k, rerank_candidates) <= rows_reranked <= rerank_candidates.
   uint64_t rows_reranked = 0;
+  /// Candidates whose code row carries the clamp flag: a streamed row that
+  /// fell outside its partition's quantization box, whose SQ8 distance has
+  /// no error bound. Every one is re-read, so rerank_flagged <=
+  /// rows_reranked when no partition was quarantined.
+  uint64_t rerank_flagged = 0;
 
   /// Degraded-mode markers (docs/DURABILITY.md "Integrity & degraded
   /// modes"). Probed partitions whose quantized SQ8 representation failed

@@ -1,8 +1,9 @@
-// SQ8 quantized scan path: codec round-trips, asymmetric kernel parity,
-// sidecar consistency across the whole write/maintenance lifecycle,
-// recall parity against the float path, batch/sequential parity with
-// quantized plans, the EXPLAIN rerank counters, and the error-bounded
-// rerank (candidate selection, and bit-identity with a full rerank).
+// SQ8 quantized scan path: codec round-trips (params rows, and code rows
+// with their clamp flag), asymmetric kernel parity, sidecar consistency
+// across the whole write/maintenance lifecycle, recall parity against the
+// float path, batch/sequential parity with quantized plans, the EXPLAIN
+// rerank counters, and the error-bounded rerank (candidate selection,
+// clamped rows, legacy rows, and bit-identity with a full rerank).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -52,7 +53,9 @@ TEST(Sq8CodecTest, RoundTripWithinHalfScale) {
             min[d], min[d] + 255.f * scale[d]);
         v[d] = in_box(rng);
       }
-      QuantizeSq8(v.data(), min.data(), scale.data(), dim, codes.data());
+      EXPECT_EQ(
+          QuantizeSq8(v.data(), min.data(), scale.data(), dim, codes.data()),
+          0u);
       DequantizeSq8(codes.data(), min.data(), scale.data(), dim, deq.data());
       for (size_t d = 0; d < dim; ++d) {
         EXPECT_LE(std::abs(deq[d] - v[d]), scale[d] / 2 + 1e-6f)
@@ -68,7 +71,9 @@ TEST(Sq8CodecTest, SaturatesOutOfRange) {
   const std::vector<float> scale = {0.01f, 0.01f, 0.01f, 0.01f};
   const std::vector<float> v = {-5.f, 100.f, 1.0f, 2.55f};
   std::vector<uint8_t> codes(dim);
-  QuantizeSq8(v.data(), min.data(), scale.data(), dim, codes.data());
+  // Two dimensions clamp; the top of the box does not.
+  EXPECT_EQ(QuantizeSq8(v.data(), min.data(), scale.data(), dim, codes.data()),
+            2u);
   EXPECT_EQ(codes[0], 0);      // below the box
   EXPECT_EQ(codes[1], 255);    // above the box
   EXPECT_EQ(codes[2], 100);    // interior
@@ -82,7 +87,14 @@ TEST(Sq8CodecTest, ZeroScaleEncodesConstantDimensionExactly) {
   const std::vector<float> v = {1.5f, -1.f, 0.f};
   std::vector<uint8_t> codes(dim);
   std::vector<float> deq(dim);
-  QuantizeSq8(v.data(), min.data(), scale.data(), dim, codes.data());
+  EXPECT_EQ(QuantizeSq8(v.data(), min.data(), scale.data(), dim, codes.data()),
+            0u);
+  // A constant dimension fed any other value clamps.
+  const std::vector<float> off = {1.25f, -1.f, 0.f};
+  std::vector<uint8_t> off_codes(dim);
+  EXPECT_EQ(QuantizeSq8(off.data(), min.data(), scale.data(), dim,
+                        off_codes.data()),
+            1u);
   EXPECT_EQ(codes[0], 0);
   EXPECT_EQ(codes[2], 0);
   DequantizeSq8(codes.data(), min.data(), scale.data(), dim, deq.data());
@@ -198,6 +210,48 @@ TEST(Sq8ParamsTest, ReconstructionErrorIsAnUpperBound) {
   EXPECT_EQ(Sq8ReconstructionError(nan_row, zero_codes, zero_min, zero_scale,
                                    2),
             std::numeric_limits<float>::infinity());
+}
+
+// A code row is dim code bytes and one clamp flag byte.
+TEST(Sq8RowTest, CodecRoundTripCarriesTheClampFlag) {
+  const uint8_t codes[3] = {0, 7, 255};
+  for (const bool clamped : {false, true}) {
+    const std::string blob = EncodeSq8Row(codes, 3, clamped);
+    ASSERT_EQ(blob.size(), 4u);
+    Result<Sq8Row> row = DecodeSq8Row(blob, 3);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_EQ(0, std::memcmp(row->codes, codes, 3));
+    EXPECT_EQ(row->clamped, clamped);
+  }
+}
+
+TEST(Sq8RowTest, LegacyRowDecodesUnflagged) {
+  // Exactly dim bytes: written before the flag byte existed.
+  const std::string blob("\x01\x02\x03", 3);
+  Result<Sq8Row> row = DecodeSq8Row(blob, 3);
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_FALSE(row->clamped);
+  EXPECT_EQ(row->codes[2], 3);
+}
+
+TEST(Sq8RowTest, RejectsOtherSizesAndFlags) {
+  const size_t dim = 3;
+  for (const uint8_t flag : {uint8_t{0}, uint8_t{1}}) {
+    std::string blob("\x01\x02\x03", 3);
+    blob.push_back(static_cast<char>(flag));
+    EXPECT_TRUE(DecodeSq8Row(blob, dim).ok()) << int{flag};
+  }
+  for (const uint8_t flag : {uint8_t{2}, uint8_t{255}}) {
+    std::string blob("\x01\x02\x03", 3);
+    blob.push_back(static_cast<char>(flag));
+    EXPECT_TRUE(DecodeSq8Row(blob, dim).status().IsCorruption()) << int{flag};
+  }
+  EXPECT_TRUE(DecodeSq8Row(std::string(dim - 1, '\0'), dim)
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(DecodeSq8Row(std::string(dim + 2, '\0'), dim)
+                  .status()
+                  .IsCorruption());
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +452,50 @@ class Sq8DbTest : public ::testing::Test {
   struct RerankTotals {
     uint64_t reranked = 0;
     uint64_t candidates = 0;
+    uint64_t flagged = 0;
+    std::vector<QueryExplain> explains;  // one per query
   };
+
+  // Every params row's max_error, by partition.
+  static std::map<uint32_t, float> ErrorBounds(DB* db) {
+    std::map<uint32_t, float> bounds;
+    auto txn = db->engine()->BeginRead().value();
+    BTreeCursor c = txn->OpenTable(kSq8ParamsTable).value().NewCursor();
+    EXPECT_TRUE(c.SeekToFirst().ok());
+    while (c.Valid()) {
+      std::string_view key = c.key();
+      uint32_t partition;
+      EXPECT_TRUE(key::ConsumeU32(&key, &partition));
+      Sq8PartitionParams p;
+      EXPECT_TRUE(
+          DecodeSq8Params(c.value().value(), db->options().dim, &p).ok());
+      bounds[partition] = p.max_error;
+      EXPECT_TRUE(c.Next().ok());
+    }
+    return bounds;
+  }
+
+  // Every code row's clamp flag, by the asset id of its float row.
+  static std::map<std::string, bool> ClampFlags(DB* db) {
+    const uint32_t dim = db->options().dim;
+    std::map<std::string, bool> flags;
+    auto txn = db->engine()->BeginRead().value();
+    BTree vectors = txn->OpenTable(kVectorsTable).value();
+    BTreeCursor c = txn->OpenTable(kSq8Table).value().NewCursor();
+    EXPECT_TRUE(c.SeekToFirst().ok());
+    while (c.Valid()) {
+      const std::string value = c.value().value();
+      Result<Sq8Row> code_row = DecodeSq8Row(value, dim);
+      EXPECT_TRUE(code_row.ok()) << code_row.status().ToString();
+      const std::string row =
+          vectors.Get(std::string(c.key())).value().value_or("");
+      VectorRow decoded;
+      EXPECT_TRUE(DecodeVectorRow(row, dim, &decoded).ok());
+      flags[decoded.asset_id] = code_row.ok() && code_row->clamped;
+      EXPECT_TRUE(c.Next().ok());
+    }
+    return flags;
+  }
 
   // Reranks each query's whole candidate pool without the executor: the
   // probe set from the centroids, SQ8 distances from the sidecar tables
@@ -471,7 +568,7 @@ class Sq8DbTest : public ::testing::Test {
           const std::string value = c.value().value();
           float d = 0.f;
           if (params.has_value()) {
-            Sq8DistanceOneToMany(ctx, DecodeSq8Row(value, dim).value(), 1,
+            Sq8DistanceOneToMany(ctx, DecodeSq8Row(value, dim)->codes, 1,
                                  &d);
           } else {
             d = exact_distance(value);
@@ -502,6 +599,8 @@ class Sq8DbTest : public ::testing::Test {
       }
       totals.reranked += resp->explain.rows_reranked;
       totals.candidates += resp->explain.rerank_candidates;
+      totals.flagged += resp->explain.rerank_flagged;
+      totals.explains.push_back(resp->explain);
     }
     return totals;
   }
@@ -1050,7 +1149,7 @@ TEST_F(Sq8DbTest, DriftRequantizationRefreshesBounds) {
 // returns — for every metric, right after a build, with clamped rows in
 // the delta store, and after Maintain flushed those clamped rows into
 // partitions whose bounds no longer cover them (drift requantization is
-// off here, so the clamped codes stay and the flush raises max_error).
+// off here, so the clamped codes stay, flagged, and are always re-read).
 TEST_F(Sq8DbTest, PrunedRerankMatchesFullPoolRerank) {
   for (const Metric metric :
        {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
@@ -1080,7 +1179,7 @@ TEST_F(Sq8DbTest, PrunedRerankMatchesFullPoolRerank) {
     EXPECT_LT(built.reranked, built.candidates) << "nothing was pruned";
 
     // Rows shifted out of the global box in half their dimensions: their
-    // delta codes clamp, and the delta params' max_error grows to cover them.
+    // delta codes clamp and are flagged.
     std::vector<UpsertRequest> shifted;
     for (size_t i = 0; i < 150; ++i) {
       UpsertRequest req;
@@ -1175,6 +1274,203 @@ TEST_F(Sq8DbTest, LegacyParamsRowsRerankEverything) {
   totals = ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
   EXPECT_EQ(totals.reranked, totals.candidates);
   for (const size_t size : params_sizes()) EXPECT_EQ(size, legacy_size);
+}
+
+// Rows upserted outside every partition's box clamp when quantized. They
+// are flagged instead of raising max_error: after the upserts and after
+// Maintain flushed them into partitions whose bounds do not cover them,
+// every params row keeps its error bound, exactly the moved rows are
+// flagged, and the rerank re-reads about as many rows as before the
+// writes, give or take the flagged candidates — with results still those
+// of the full-pool rerank.
+TEST_F(Sq8DbTest, ClampedRowsLeaveErrorBoundAlone) {
+  DatasetSpec spec;
+  spec.name = "sq8-clamp";
+  spec.dim = 16;
+  spec.n = 2000;
+  spec.n_queries = 16;
+  Dataset ds = GenerateDataset(spec);
+  DbOptions options = SmallOptions(spec.dim);
+  options.centroid_index_threshold = 0;  // the oracle probes centroids
+  options.sq8_requantize_saturation = 0;  // the clamped codes stay
+  auto db = LoadDataset(ds, options);
+  ASSERT_TRUE(db->BuildIndex().ok());
+
+  std::vector<std::vector<float>> queries;
+  for (size_t q = 0; q < spec.n_queries; ++q) {
+    queries.emplace_back(ds.query(q), ds.query(q) + spec.dim);
+  }
+  const std::map<uint32_t, float> bounds = ErrorBounds(db.get());
+  ASSERT_GT(bounds.size(), 1u);
+  const RerankTotals before =
+      ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+  EXPECT_EQ(before.flagged, 0u);
+  EXPECT_LT(before.reranked, before.candidates);
+
+  // Dimension 0 of each moved row sits just above the largest value any
+  // row has there, so it clamps in the global box and in every partition's.
+  float top = ds.row(0)[0];
+  for (size_t i = 0; i < spec.n; ++i) top = std::max(top, ds.row(i)[0]);
+  std::vector<UpsertRequest> moved;
+  for (size_t i = 0; i < 200; ++i) {
+    UpsertRequest req;
+    req.asset_id = "moved" + std::to_string(i);
+    req.vector.assign(ds.row(i), ds.row(i) + spec.dim);
+    req.vector[0] = top + 0.05f;
+    moved.push_back(std::move(req));
+  }
+  auto expect_moved_rows_flagged = [&] {
+    size_t flagged = 0;
+    for (const auto& [asset, clamped] : ClampFlags(db.get())) {
+      EXPECT_EQ(clamped, asset.starts_with("moved")) << asset;
+      flagged += clamped;
+    }
+    EXPECT_EQ(flagged, moved.size());
+  };
+  // Each query re-reads at most its flagged candidates more than before
+  // the writes, or fewer when they pushed candidates out of its pool.
+  auto expect_pruning_kept = [&](const RerankTotals& after) {
+    ASSERT_EQ(after.explains.size(), before.explains.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const uint64_t was = before.explains[q].rows_reranked;
+      const uint64_t now = after.explains[q].rows_reranked;
+      const uint64_t flagged = after.explains[q].rerank_flagged;
+      EXPECT_LE(now, was + flagged) << "query " << q;
+      EXPECT_LE(was, now + flagged) << "query " << q;
+    }
+    EXPECT_GT(after.flagged, 0u) << "no moved row reached a candidate pool";
+    EXPECT_LT(after.reranked, after.candidates);
+  };
+  ASSERT_TRUE(db->Upsert(moved).ok());
+  VerifySidecar(db.get());
+  EXPECT_EQ(ErrorBounds(db.get()), bounds);
+  expect_moved_rows_flagged();
+  expect_pruning_kept(ExpectRerankMatchesFullPool(db.get(), queries, 10, 4));
+
+  // The flush also moves the centroids, so a query may probe other
+  // partitions than before; the bound then holds over the query set.
+  const MaintenanceReport report = db->Maintain().value();
+  ASSERT_FALSE(report.full_rebuild);
+  EXPECT_EQ(report.delta_flushed, moved.size());
+  VerifySidecar(db.get());
+  EXPECT_EQ(ErrorBounds(db.get()), bounds);
+  expect_moved_rows_flagged();
+  const RerankTotals after =
+      ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+  EXPECT_LE(after.reranked, before.reranked + after.flagged);
+  EXPECT_LE(before.reranked, after.reranked + after.flagged);
+  EXPECT_GT(after.flagged, 0u) << "no moved row reached a candidate pool";
+  EXPECT_LT(after.reranked, after.candidates);
+}
+
+// Code rows written before the clamp flag existed (exactly dim bytes)
+// decode as unflagged. That is safe because their writer raised max_error
+// for every row, clamped or not: with the flags stripped and every params
+// row's error raised to cover its rows, results stay those of the
+// full-pool rerank, before and after new (flagged) upserts and Maintain.
+TEST_F(Sq8DbTest, LegacyCodeRowsStayCovered) {
+  DatasetSpec spec;
+  spec.name = "sq8-legacy-codes";
+  spec.dim = 16;
+  spec.n = 1500;
+  spec.n_queries = 8;
+  Dataset ds = GenerateDataset(spec);
+  DbOptions options = SmallOptions(spec.dim);
+  options.centroid_index_threshold = 0;
+  options.sq8_requantize_saturation = 0;
+  auto db = LoadDataset(ds, options);
+  ASSERT_TRUE(db->BuildIndex().ok());
+
+  // Rows shifted out of the boxes in half their dimensions: they clamp in
+  // the delta store, and again once Maintain moves them into partitions.
+  auto shifted = [&](const std::string& prefix, float by) {
+    std::vector<UpsertRequest> batch;
+    for (size_t i = 0; i < 100; ++i) {
+      UpsertRequest req;
+      req.asset_id = prefix + std::to_string(i);
+      req.vector.assign(ds.row(i), ds.row(i) + spec.dim);
+      for (uint32_t d = 0; d < spec.dim; d += 2) req.vector[d] += by;
+      batch.push_back(std::move(req));
+    }
+    return batch;
+  };
+  const std::vector<UpsertRequest> old_rows = shifted("old", 0.5f);
+  ASSERT_TRUE(db->Upsert(old_rows).ok());
+  ASSERT_TRUE(db->Maintain().ok());
+  ASSERT_TRUE(db->Upsert(shifted("old-delta", 0.7f)).ok());
+
+  // Rewrite the sidecar as the writer before the flag did: dim-byte code
+  // rows, and every params row's max_error raised over all of its rows.
+  const uint32_t dim = spec.dim;
+  size_t stripped_clamped = 0;
+  {
+    auto txn = db->engine()->BeginWrite().value();
+    BTree vectors = txn->OpenTable(kVectorsTable).value();
+    BTree sq8 = txn->OpenTable(kSq8Table).value();
+    BTree sq8params = txn->OpenTable(kSq8ParamsTable).value();
+    std::map<uint32_t, Sq8PartitionParams> params;
+    for (const auto& [partition, bound] : ErrorBounds(db.get())) {
+      params[partition] =
+          GetSq8Params(&sq8params, partition, dim).value().value();
+    }
+    std::vector<std::pair<std::string, std::string>> rows;
+    BTreeCursor c = sq8.NewCursor();
+    ASSERT_TRUE(c.SeekToFirst().ok());
+    while (c.Valid()) {
+      uint32_t partition;
+      uint64_t vid;
+      ASSERT_TRUE(ParseVectorKey(c.key(), &partition, &vid).ok());
+      const std::string value = c.value().value();
+      const Sq8Row code_row = DecodeSq8Row(value, dim).value();
+      stripped_clamped += code_row.clamped;
+      VectorRow row;
+      const std::string blob = vectors.Get(std::string(c.key())).value().value();
+      ASSERT_TRUE(DecodeVectorRow(blob, dim, &row).ok());
+      std::vector<float> vec(dim);
+      std::memcpy(vec.data(), row.vector_blob.data(), dim * sizeof(float));
+      Sq8PartitionParams& p = params.at(partition);
+      p.max_error = std::max(
+          p.max_error, Sq8ReconstructionError(vec.data(), code_row.codes,
+                                              p.min.data(), p.scale.data(),
+                                              dim));
+      rows.emplace_back(std::string(c.key()), value.substr(0, dim));
+      ASSERT_TRUE(c.Next().ok());
+    }
+    for (const auto& [key, value] : rows) {
+      ASSERT_TRUE(sq8.Put(key, value).ok());
+    }
+    for (const auto& [partition, p] : params) {
+      ASSERT_TRUE(
+          sq8params.Put(key::U32(partition), EncodeSq8Params(p)).ok());
+    }
+    ASSERT_TRUE(db->engine()->Commit(std::move(txn)).ok());
+  }
+  ASSERT_GT(stripped_clamped, 0u) << "no clamped row to strip";
+  for (const auto& [asset, clamped] : ClampFlags(db.get())) {
+    EXPECT_FALSE(clamped) << asset;
+  }
+  VerifySidecar(db.get());
+
+  std::vector<std::vector<float>> queries;
+  for (size_t q = 0; q < spec.n_queries; ++q) {
+    queries.emplace_back(ds.query(q), ds.query(q) + spec.dim);
+  }
+  for (size_t i = 0; i < 4; ++i) queries.push_back(old_rows[i].vector);
+  RerankTotals totals = ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+  EXPECT_EQ(totals.flagged, 0u);
+
+  // New writes beside the legacy rows: flagged rows join unflagged legacy
+  // ones in the same partitions and the same candidate pools.
+  const std::vector<UpsertRequest> new_rows = shifted("new", 0.6f);
+  ASSERT_TRUE(db->Upsert(new_rows).ok());
+  VerifySidecar(db.get());
+  for (size_t i = 0; i < 4; ++i) queries.push_back(new_rows[i].vector);
+  totals = ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+  EXPECT_GT(totals.flagged, 0u);
+  ASSERT_TRUE(db->Maintain().ok());
+  VerifySidecar(db.get());
+  totals = ExpectRerankMatchesFullPool(db.get(), queries, 10, 4);
+  EXPECT_GT(totals.flagged, 0u);
 }
 
 }  // namespace

@@ -33,6 +33,12 @@ inline void ExpectExplainInvariants(std::span<const SearchRequest> requests,
     EXPECT_LE(std::min<uint64_t>(requests[q].k, ex.rerank_candidates),
               ex.rows_reranked);
     EXPECT_LE(ex.rows_reranked, ex.rerank_candidates);
+    // Flagged candidates are always re-read (rows_reranked dedups, so a
+    // quarantine's duplicate candidates are left out).
+    EXPECT_LE(ex.rerank_flagged, ex.rerank_candidates);
+    if (ex.partitions_quarantined == 0) {
+      EXPECT_LE(ex.rerank_flagged, ex.rows_reranked);
+    }
     if (ex.plan == QueryPlan::kUnfiltered ||
         ex.plan == QueryPlan::kPostFilter) {
       // The probe set plus the delta store.

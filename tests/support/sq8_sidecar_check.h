@@ -21,9 +21,13 @@ namespace micronn {
 
 // Whenever a partition has parameters, its sidecar rows mirror the float
 // rows key-for-key, every code byte is exactly what re-quantizing the
-// stored float row would produce, and every row's reconstruction error
-// (in double) is within the partition's stored max_error. A partition
-// without parameters has no sidecar rows. No orphans either direction.
+// stored float row would produce, every row's clamp flag says whether that
+// re-quantizing clamps, and every unflagged row's reconstruction error (in
+// double) is within the partition's stored max_error (flagged rows are
+// exempt: the rerank always re-reads them). A legacy row of dim bytes has
+// no flag and counts as unflagged: its writer raised max_error for every
+// row. A partition without parameters has no sidecar rows. No orphans
+// either direction.
 inline void VerifySidecar(DB* db) {
   const uint32_t dim = db->options().dim;
   auto txn = db->engine()->BeginRead().value();
@@ -68,24 +72,32 @@ inline void VerifySidecar(DB* db) {
             << "missing sidecar row, partition " << partition << " vid "
             << vid;
         const Sq8PartitionParams& p = it->second;
-        const uint8_t* codes = DecodeSq8Row(*sq8_row, dim).value();
+        const Sq8Row code_row = DecodeSq8Row(*sq8_row, dim).value();
+        const uint8_t* codes = code_row.codes;
         // The blob sits at an arbitrary offset inside the row encoding;
         // copy it out so the float loads are aligned.
         std::vector<float> vec(dim);
         std::memcpy(vec.data(), row.vector_blob.data(), dim * sizeof(float));
-        QuantizeSq8(vec.data(), p.min.data(), p.scale.data(), dim,
-                    expect.data());
+        const bool clamps = QuantizeSq8(vec.data(), p.min.data(),
+                                        p.scale.data(), dim, expect.data()) > 0;
         EXPECT_EQ(0, std::memcmp(codes, expect.data(), dim))
             << "stale codes, partition " << partition << " vid " << vid;
+        if (sq8_row->size() != dim) {  // legacy rows carry no flag
+          EXPECT_EQ(code_row.clamped, clamps)
+              << "wrong clamp flag, partition " << partition << " vid "
+              << vid;
+        }
         double sum = 0;
         for (uint32_t d = 0; d < dim; ++d) {
           const double recon =
               double{p.min[d]} + double{p.scale[d]} * codes[d];
           sum += (vec[d] - recon) * (vec[d] - recon);
         }
-        EXPECT_LE(std::sqrt(sum), double{p.max_error})
-            << "reconstruction error above the stored bound, partition "
-            << partition << " vid " << vid;
+        if (!code_row.clamped) {
+          EXPECT_LE(std::sqrt(sum), double{p.max_error})
+              << "reconstruction error above the stored bound, partition "
+              << partition << " vid " << vid;
+        }
         ++quantized_rows;
       }
       ASSERT_TRUE(c.Next().ok());
